@@ -1,8 +1,8 @@
 """End-to-end pipeline: observations -> models -> assignment -> state machine.
 
-Reads the bundled 7x7 demo trace, fits one regression model per
-(resource, workload) pair, builds the predicted-cost matrix at a chosen
-demand level, solves the minimum-cost matching, and then queries the
+Reads the 7x7 reference trace shared with the tests, fits one regression
+model per (resource, workload) pair, builds the predicted-cost matrix at a
+chosen demand level, solves the minimum-cost matching, and then queries the
 resulting allocation state.
 """
 
@@ -19,8 +19,8 @@ from wrmap import (
 from wrmap.cli import render_assignment
 from wrmap.trace_io import parse_observations, write_state
 
-here = Path(__file__).parent
-datasets = parse_observations((here / "data" / "reference7.csv").read_text())
+data_dir = Path(__file__).parent.parent / "tests" / "data"
+datasets = parse_observations((data_dir / "reference7.csv").read_text())
 
 models = {pair: fit(data) for pair, data in datasets.items()}
 resources = [f"R{i}" for i in range(1, 8)]

@@ -9,7 +9,8 @@ from pathlib import Path
 from wrmap import Report, add
 from wrmap.trace_io import parse_replay, run_replay, write_state
 
-script = (Path(__file__).parent / "data" / "build_state.replay").read_text()
+data_dir = Path(__file__).parent.parent / "tests" / "data"
+script = (data_dir / "example_build.replay").read_text()
 state, lines = run_replay(parse_replay(script))
 
 print("transcript:")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import isfinite
 from typing import Optional, Sequence
 
 from . import matcher, regression, trace_io
@@ -35,6 +36,14 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_pair(text: str) -> tuple[str, str]:
@@ -129,6 +138,8 @@ def _parse_names(text: str, flag: str) -> list[str]:
 
 
 def cmd_allocate(args) -> int:
+    if not isfinite(args.at):
+        raise _UsageError(f"--at must be a finite number, got {args.at}")
     datasets = trace_io.parse_observations(_read_file(args.input))
     resources = _parse_names(args.resources, "--resources")
     workloads = _parse_names(args.workloads, "--workloads")
@@ -144,8 +155,7 @@ def cmd_allocate(args) -> int:
     sys.stdout.write(render_assignment(assignment))
     if args.snapshot:
         state = matcher.matrix_to_state(assignment)
-        with open(args.snapshot, "w", encoding="utf-8", newline="") as handle:
-            handle.write(trace_io.write_state(state))
+        _write_file(args.snapshot, trace_io.write_state(state))
     return 0
 
 
@@ -161,8 +171,7 @@ def cmd_replay(args) -> int:
     for line in lines:
         print(line)
     if args.snapshot_out:
-        with open(args.snapshot_out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(trace_io.write_state(state))
+        _write_file(args.snapshot_out, trace_io.write_state(state))
     return 0
 
 

@@ -6,13 +6,18 @@ that the function's domain equals the available set. Operations take a state
 and return a fresh state plus a three-valued report; any non-OK outcome
 returns the input state unchanged, so callers can check "error preserves
 state" by plain structural equality.
+
+Cost model: a state holds one resource -> workload dict, validated once when
+built from outside pairs. `add` checks only its two new tokens and copies the
+dict with one more entry (copy on write: n adds cost O(n^2), at C speed);
+`find` is one dict lookup; `map_query` is a scan. `pairs` sorts on demand.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Union
 
 
 class Report(enum.Enum):
@@ -38,38 +43,45 @@ def check_token(value: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AllocationState:
-    """Immutable allocation: sorted (resource, workload) pairs.
+    """Immutable allocation: each resource mapped to its workload.
 
-    Pairs are kept sorted by resource id so equal states compare equal and
-    serialization is deterministic. Resources are unique (the allocation is
-    a function); several resources may carry the same workload.
+    Resources are unique (the allocation is a function); several resources
+    may carry the same workload. Equality, hashing and `pairs` do not depend
+    on the order in which the pairs were given.
     """
 
-    pairs: tuple[tuple[str, str], ...] = ()
+    _allocation: dict[str, str]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.pairs))
-        object.__setattr__(self, "pairs", ordered)
-        seen = set()
-        for resource, workload in ordered:
+    def __init__(self, pairs: Iterable[tuple[str, str]] = ()) -> None:
+        allocation: dict[str, str] = {}
+        for resource, workload in pairs:
             check_token(resource)
             check_token(workload)
-            if resource in seen:
+            if resource in allocation:
                 raise ValueError(f"duplicate resource in allocation: {resource!r}")
-            seen.add(resource)
+            allocation[resource] = workload
+        object.__setattr__(self, "_allocation", allocation)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._allocation.items()))
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The (resource, workload) pairs sorted by resource."""
+        return tuple(sorted(self._allocation.items()))
 
     @property
     def allocation(self) -> dict[str, str]:
-        return dict(self.pairs)
+        return dict(self._allocation)
 
     @property
     def available_resources(self) -> frozenset[str]:
-        return frozenset(resource for resource, _ in self.pairs)
+        return frozenset(self._allocation)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._allocation)
 
 
 Payload = Union[None, str, frozenset]
@@ -97,11 +109,12 @@ def add(state: AllocationState, resource: str, workload: str) -> OpOutcome:
     """
     check_token(resource)
     check_token(workload)
-    if resource in state.available_resources:
+    if resource in state._allocation:
         return OpOutcome(state, Report.ALREADY_MAPPED)
-    return OpOutcome(
-        AllocationState(state.pairs + ((resource, workload),)), Report.OK
-    )
+    # Only the two new tokens need checking, so skip the validating __init__.
+    grown = object.__new__(AllocationState)
+    object.__setattr__(grown, "_allocation", {**state._allocation, resource: workload})
+    return OpOutcome(grown, Report.OK)
 
 
 def find(state: AllocationState, resource: str) -> OpOutcome:
@@ -110,10 +123,10 @@ def find(state: AllocationState, resource: str) -> OpOutcome:
     Fails with NotMapped when the resource is unknown. Never changes state.
     """
     check_token(resource)
-    allocation = state.allocation
-    if resource not in allocation:
+    workload = state._allocation.get(resource)
+    if workload is None:
         return OpOutcome(state, Report.NOT_MAPPED)
-    return OpOutcome(state, Report.OK, allocation[resource])
+    return OpOutcome(state, Report.OK, workload)
 
 
 def map_query(state: AllocationState, rank: str) -> OpOutcome:
@@ -123,7 +136,7 @@ def map_query(state: AllocationState, rank: str) -> OpOutcome:
     """
     check_token(rank)
     matched = frozenset(
-        resource for resource, workload in state.pairs if workload == rank
+        resource for resource, workload in state._allocation.items() if workload == rank
     )
     return OpOutcome(state, Report.OK, matched)
 

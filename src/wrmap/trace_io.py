@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import isfinite
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import core
 from .core import AllocationState, Report, check_token
@@ -57,6 +57,14 @@ def _decode(text: Union[str, bytes]) -> str:
     return text
 
 
+def _check_tokens(line: int, tokens: Iterable[str]) -> None:
+    for token in tokens:
+        try:
+            check_token(token)
+        except ValueError as exc:
+            raise ParseError(line, str(exc)) from exc
+
+
 def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset]:
     """Parse the observations CSV into per-pair datasets.
 
@@ -77,11 +85,7 @@ def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset
         if len(fields) != 4:
             raise ParseError(lineno, f"expected 4 columns, got {len(fields)}")
         resource, workload, w_text, r_text = fields
-        try:
-            check_token(resource)
-            check_token(workload)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
+        _check_tokens(lineno, (resource, workload))
         try:
             w = float(w_text)
             r = float(r_text)
@@ -103,6 +107,7 @@ class ReplayCommand:
 
 _REPORT_BY_NAME = {r.value: r for r in Report}
 _ARITY = {"INIT": 0, "ADD": 2, "FIND": 1, "MAP": 1}
+_CORE_OP = {"ADD": "add", "FIND": "find", "MAP": "map_query"}
 
 
 def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
@@ -130,11 +135,7 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
             raise ParseError(
                 lineno, f"{op} takes {_ARITY[op]} argument(s), got {len(rest)}"
             )
-        for token in rest:
-            try:
-                check_token(token)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from exc
+        _check_tokens(lineno, rest)
         commands.append(ReplayCommand(lineno, op, tuple(rest), expect))
     return commands
 
@@ -153,16 +154,10 @@ def run_replay(
     lines: list[str] = []
     for cmd in commands:
         if cmd.op == "INIT":
-            state = core.init()
-            report, payload = Report.OK, None
-        elif cmd.op == "ADD":
-            outcome = core.add(state, cmd.args[0], cmd.args[1])
-            state, report, payload = outcome.state, outcome.report, outcome.payload
-        elif cmd.op == "FIND":
-            outcome = core.find(state, cmd.args[0])
-            state, report, payload = outcome.state, outcome.report, outcome.payload
-        else:  # MAP
-            outcome = core.map_query(state, cmd.args[0])
+            state, report, payload = core.init(), Report.OK, None
+        else:
+            # Looked up on each call, so wrappers placed on `core` see it.
+            outcome = getattr(core, _CORE_OP[cmd.op])(state, *cmd.args)
             state, report, payload = outcome.state, outcome.report, outcome.payload
         text = f"{cmd.line} {report.value}"
         if isinstance(payload, str):
@@ -177,19 +172,16 @@ def run_replay(
 
 def write_state(s: AllocationState) -> str:
     """Canonical snapshot: sorted-key JSON object, LF-terminated."""
-    payload = {"allocation": dict(s.pairs)}
+    payload = {"allocation": s.allocation}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def read_state(text: Union[str, bytes]) -> AllocationState:
     """Inverse of write_state; the available set is rebuilt from the keys."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SnapshotError(f"invalid UTF-8: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(_decode(text))
+    except ParseError as exc:
+        raise SnapshotError(exc.reason) from exc
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"allocation"}:
@@ -198,6 +190,6 @@ def read_state(text: Union[str, bytes]) -> AllocationState:
     if not isinstance(allocation, dict):
         raise SnapshotError("'allocation' must be an object")
     try:
-        return AllocationState(tuple(allocation.items()))
+        return AllocationState(allocation.items())
     except (ValueError, TypeError) as exc:
         raise SnapshotError(str(exc)) from exc

@@ -16,6 +16,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def unwritable_paths(tmp_path):
+    # A file under a missing directory, and a directory itself.
+    return [tmp_path / "missing" / "state.json", tmp_path]
+
+
 class TestFit:
     def test_single_pair_perfect_line(self, capsys):
         code, out, err = run(
@@ -160,6 +171,26 @@ class TestAllocate:
         assert state.allocation["R1"] == "W2"
         assert len(state) == 7
 
+    @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+    def test_non_finite_demand(self, capsys, at):
+        code, out, err = run(
+            capsys,
+            "allocate", "--input", REFERENCE7, f"--at={at}",
+            "--resources", "R1", "--workloads", "W1",
+        )
+        assert out == ""
+        assert_one_line_usage_error(code, err)
+
+    def test_unwritable_snapshot(self, capsys, tmp_path):
+        for path in unwritable_paths(tmp_path):
+            code, _, err = run(
+                capsys,
+                "allocate", "--input", REFERENCE7, "--at", "0.5",
+                "--resources", "R1", "--workloads", "W1",
+                "--snapshot", str(path),
+            )
+            assert_one_line_usage_error(code, err)
+
     def test_missing_pair(self, capsys):
         code, _, err = run(
             capsys,
@@ -190,6 +221,14 @@ class TestReplay:
             '{"allocation":{"Res1":"Cloudworkload3",'
             '"Res2":"Cloudworkload2","Res3":"Cloudworkload1"}}\n'
         )
+
+    def test_unwritable_snapshot_out(self, capsys, tmp_path):
+        for path in unwritable_paths(tmp_path):
+            code, _, err = run(
+                capsys,
+                "replay", "--script", self.SCRIPT, "--snapshot-out", str(path),
+            )
+            assert_one_line_usage_error(code, err)
 
     def test_duplicate_add_expected(self, capsys, tmp_path):
         script = tmp_path / "dup.replay"

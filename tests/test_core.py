@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from wrmap import core
+from wrmap import core, trace_io
 from wrmap.core import AllocationState, Report
 
 
@@ -133,16 +133,63 @@ def run_step(state, step):
     return core.map_query(state, step[1])
 
 
+def model_step(model, step):
+    """The same step on a plain dict, the reference for the state machine."""
+    if step[0] == "add":
+        if step[1] in model:
+            return Report.ALREADY_MAPPED, None
+        model[step[1]] = step[2]
+        return Report.OK, None
+    if step[0] == "find":
+        if step[1] not in model:
+            return Report.NOT_MAPPED, None
+        return Report.OK, model[step[1]]
+    return Report.OK, frozenset(r for r, w in model.items() if w == step[1])
+
+
 @given(steps)
 def test_invariant_and_error_preservation(sequence):
     state = core.init()
+    model = {}
     for step in sequence:
+        before = state.pairs
         outcome = run_step(state, step)
         after = outcome.state
+        assert state.pairs == before
         assert after.available_resources == frozenset(after.allocation.keys())
         if outcome.report is not Report.OK:
             assert after == state
+        assert (outcome.report, outcome.payload) == model_step(model, step)
         state = after
+    assert state.allocation == model
+
+
+@given(st.permutations([(f"R{i}", f"W{i % 3}") for i in range(8)]))
+def test_state_ignores_pair_order(shuffled):
+    reference = AllocationState(sorted(shuffled))
+    grown = core.init()
+    for resource, workload in shuffled:
+        grown = core.add(grown, resource, workload).state
+    for state in (AllocationState(shuffled), grown):
+        assert state == reference
+        assert hash(state) == hash(reference)
+        assert state.pairs == reference.pairs
+        assert trace_io.write_state(state) == trace_io.write_state(reference)
+
+
+def test_allocation_is_a_copy():
+    state = build_example_state()
+    before = state.pairs
+    allocation = state.allocation
+    allocation["Res1"] = "Other"
+    allocation["Res9"] = "W"
+    del allocation["Res2"]
+    assert state.pairs == before
+    assert core.find(state, "Res1").payload == "Cloudworkload3"
+    assert core.find(state, "Res9").report is Report.NOT_MAPPED
+    assert core.available(state) == {"Res1", "Res2", "Res3"}
+    with pytest.raises(AttributeError):
+        state.pairs = ()
 
 
 @given(steps, st.sampled_from(RESOURCES), st.sampled_from(WORKLOADS))
