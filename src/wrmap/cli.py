@@ -22,6 +22,13 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a _UsageError, not a usage block."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _fmt(value: float, precision: str) -> str:
     if value == 0.0:  # avoid "-0" leaking into transcripts
         value = 0.0
@@ -152,10 +159,11 @@ def cmd_allocate(args) -> int:
     models = _fit_all(datasets, needed)
     costs = matcher.build_cost_matrix(models, resources, workloads, args.at)
     assignment = matcher.assign(costs)
-    sys.stdout.write(render_assignment(assignment))
+    table = render_assignment(assignment)
     if args.snapshot:
         state = matcher.matrix_to_state(assignment)
         _write_file(args.snapshot, trace_io.write_state(state))
+    sys.stdout.write(table)
     return 0
 
 
@@ -168,15 +176,15 @@ def cmd_replay(args) -> int:
             print(line)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in lines:
-        print(line)
     if args.snapshot_out:
         _write_file(args.snapshot_out, trace_io.write_state(state))
+    for line in lines:
+        print(line)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wrmap",
         description="Workload-resource regression fitting and assignment.",
     )
@@ -212,11 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (_UsageError, trace_io.ParseError) as exc:

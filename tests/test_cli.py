@@ -183,12 +183,13 @@ class TestAllocate:
 
     def test_unwritable_snapshot(self, capsys, tmp_path):
         for path in unwritable_paths(tmp_path):
-            code, _, err = run(
+            code, out, err = run(
                 capsys,
                 "allocate", "--input", REFERENCE7, "--at", "0.5",
                 "--resources", "R1", "--workloads", "W1",
                 "--snapshot", str(path),
             )
+            assert out == ""
             assert_one_line_usage_error(code, err)
 
     def test_missing_pair(self, capsys):
@@ -224,10 +225,11 @@ class TestReplay:
 
     def test_unwritable_snapshot_out(self, capsys, tmp_path):
         for path in unwritable_paths(tmp_path):
-            code, _, err = run(
+            code, out, err = run(
                 capsys,
                 "replay", "--script", self.SCRIPT, "--snapshot-out", str(path),
             )
+            assert out == ""
             assert_one_line_usage_error(code, err)
 
     def test_duplicate_add_expected(self, capsys, tmp_path):
@@ -253,6 +255,29 @@ class TestReplay:
         code, _, err = run(capsys, "replay", "--script", str(script))
         assert code == 2
         assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["allocate", "--input", REFERENCE7, "--at", "abc",
+         "--resources", "R1", "--workloads", "W1"],
+        ["fit", "--input", OBSERVATIONS, "--pair", "R1:W1", "--all"],
+        ["replay", "--script", "x.replay", "--snapshot"],
+    ],
+)
+def test_bad_command_line_is_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_line_usage_error(code, err)
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "allocate", "--help")
+    assert code == 0
+    assert out.startswith("usage: wrmap allocate")
+    assert err == ""
 
 
 def test_transcripts_deterministic(capsys):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from wrmap import core, matcher
 from wrmap.matcher import AssignmentMatrix, CostMatrix
@@ -23,11 +25,67 @@ def brute_force_min(cost):
     return best, best_perms
 
 
-def square_costs(grid):
-    n = len(grid)
-    names_r = tuple(f"R{i}" for i in range(n))
-    names_w = tuple(f"W{j}" for j in range(n))
-    return CostMatrix(names_r, names_w, tuple(tuple(float(v) for v in row) for row in grid))
+def brute_force_lex_min(grid):
+    """Exhaustive oracle for `assign`'s marks on exact (integer) costs.
+
+    Tries every injection of the shorter side into the longer one. Among
+    the cheapest, returns the one whose per-row column list is smallest,
+    an unmarked row counting as column n_wl (after every real column).
+    """
+    cost = np.array(grid, dtype=float)
+    n_res, n_wl = cost.shape
+    best = None
+    if n_res <= n_wl:
+        for cols in itertools.permutations(range(n_wl), n_res):
+            total = cost[range(n_res), cols].sum()
+            if best is None or (total, cols) < best:
+                best = (total, cols)
+    else:
+        for rows in itertools.permutations(range(n_res), n_wl):
+            key = [n_wl] * n_res
+            for j, i in enumerate(rows):
+                key[i] = j
+            total = cost[rows, range(n_wl)].sum()
+            if best is None or (total, tuple(key)) < best:
+                best = (total, tuple(key))
+    return {(i, j) for i, j in enumerate(best[1]) if j < n_wl}
+
+
+def reference_lex_min(cost):
+    """The earlier implementation of the tie-break, kept as a reference:
+    one solve per (row, candidate column), fixing each row to the smallest
+    column that still allows an optimal completion. Square input only.
+    """
+    n = cost.shape[0]
+    row_ind, col_ind = linear_sum_assignment(cost)
+    best = float(cost[row_ind, col_ind].sum())
+    tol = 1e-9 * (1.0 + abs(best))
+    remaining = list(range(n))
+    fixed = 0.0
+    chosen = set()
+    for i in range(n):
+        rest_rows = list(range(i + 1, n))
+        for j in remaining:
+            rest_cols = [c for c in remaining if c != j]
+            if rest_rows:
+                sub = cost[np.ix_(rest_rows, rest_cols)]
+                rr, cc = linear_sum_assignment(sub)
+                completion = float(sub[rr, cc].sum())
+            else:
+                completion = 0.0
+            if fixed + cost[i, j] + completion <= best + tol:
+                chosen.add((i, j))
+                fixed += float(cost[i, j])
+                remaining.remove(j)
+                break
+    return chosen
+
+
+def costs_of(grid):
+    grid = np.asarray(grid, dtype=float)
+    names_r = tuple(f"R{i:03d}" for i in range(grid.shape[0]))
+    names_w = tuple(f"W{j:03d}" for j in range(grid.shape[1]))
+    return CostMatrix(names_r, names_w, tuple(map(tuple, grid.tolist())))
 
 
 # Checked cells of the 7x7 reference matrix, 0-indexed (row, col).
@@ -72,7 +130,7 @@ def test_build_cost_matrix_missing_model():
 
 def test_assign_diagonal():
     grid = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
-    result = matcher.assign(square_costs(grid))
+    result = matcher.assign(costs_of(grid))
     assert result.marks == {(0, 0), (1, 1), (2, 2)}
     assert result.total_cost() == 0
 
@@ -82,7 +140,7 @@ def test_assign_reference_seven_by_seven():
         [0.0 if (i, j) in REFERENCE_MARKS else 1.0 for j in range(7)]
         for i in range(7)
     ]
-    result = matcher.assign(square_costs(grid))
+    result = matcher.assign(costs_of(grid))
     assert result.marks == REFERENCE_MARKS
     best, best_perms = brute_force_min(grid)
     assert best == 0.0
@@ -91,14 +149,14 @@ def test_assign_reference_seven_by_seven():
 
 
 def test_assign_two_by_two():
-    result = matcher.assign(square_costs([[1, 2], [2, 1]]))
+    result = matcher.assign(costs_of([[1, 2], [2, 1]]))
     assert result.marks == {(0, 0), (1, 1)}
     assert result.total_cost() == 2
 
 
 def test_assign_tie_break_lexicographic():
     # All costs equal: every matching is optimal, identity wins.
-    result = matcher.assign(square_costs([[1, 1, 1]] * 3))
+    result = matcher.assign(costs_of([[1, 1, 1]] * 3))
     assert result.marks == {(0, 0), (1, 1), (2, 2)}
 
 
@@ -121,7 +179,7 @@ def test_assign_matches_brute_force_random():
     for _ in range(50):
         n = int(rng.integers(1, 6))
         grid = rng.uniform(-10, 10, (n, n)).round(3).tolist()
-        result = matcher.assign(square_costs(grid))
+        result = matcher.assign(costs_of(grid))
         best, _ = brute_force_min(grid)
         assert result.total_cost() == pytest.approx(best, abs=1e-9)
 
@@ -131,11 +189,11 @@ def test_assign_row_column_shift_invariance():
     for _ in range(25):
         n = int(rng.integers(2, 6))
         grid = rng.uniform(0, 10, (n, n))
-        base = matcher.assign(square_costs(grid.tolist()))
+        base = matcher.assign(costs_of(grid.tolist()))
         shifted = grid.copy()
         shifted[int(rng.integers(0, n)), :] += 5.0
         shifted[:, int(rng.integers(0, n))] -= 3.0
-        assert matcher.assign(square_costs(shifted.tolist())).marks == base.marks
+        assert matcher.assign(costs_of(shifted.tolist())).marks == base.marks
 
 
 def test_matrix_to_state_reference():
@@ -208,3 +266,81 @@ def test_assignment_matrix_invariant():
         AssignmentMatrix(("R1", "R2"), ("W1", "W2"), frozenset({(0, 0), (1, 0)}))
     with pytest.raises(ValueError):
         AssignmentMatrix(("R1", "R2"), ("W1", "W2"), frozenset({(0, 0), (0, 1)}))
+
+
+def test_assign_matches_brute_force_lex_min_tie_heavy():
+    rng = np.random.default_rng(37)
+    for _ in range(120):
+        grid = rng.integers(0, 3, rng.integers(1, 8, 2))
+        assert matcher.assign(costs_of(grid)).marks == brute_force_lex_min(grid)
+
+
+def test_assign_rectangular_finds_optimum_among_large_costs():
+    # Two cheaper cells away from the lexicographically first corner. A
+    # tie tolerance scaled by anything but the real costs swallows the 0.5.
+    grid = np.full((2, 60), 1e6)
+    grid[0, 59] = grid[1, 58] = 1e6 - 0.5
+    result = matcher.assign(costs_of(grid))
+    assert result.marks == {(0, 59), (1, 58)}
+    assert result.total_cost() == 1_999_999.0
+
+
+def test_assign_agrees_with_reference_tie_break():
+    rng = np.random.default_rng(43)
+    for n in list(range(1, 31)) + [30] * 5:
+        # Few zeros, so the optimum is rarely all-zero and ties span rows.
+        grid = rng.integers(1, 4, (n, n)) * (rng.random((n, n)) > 0.05)
+        grid = grid.astype(float)
+        assert matcher.assign(costs_of(grid)).marks == reference_lex_min(grid)
+
+
+@st.composite
+def shifted_grids(draw):
+    n_res = draw(st.integers(1, 6))
+    n_wl = draw(st.integers(1, 6))
+    grid = np.array(
+        draw(st.lists(st.lists(st.integers(0, 2), min_size=n_wl, max_size=n_wl),
+                      min_size=n_res, max_size=n_res)),
+        dtype=float,
+    )
+    grid *= 0.1  # ties now hold in decimal but only nearly in binary
+    # Only a fully marked side can shift without changing which cells win.
+    axes = [axis for axis, ok in ((0, n_res <= n_wl), (1, n_res >= n_wl)) if ok]
+    axis = draw(st.sampled_from(axes))
+    index = draw(st.integers(0, grid.shape[axis] - 1))
+    shift = draw(st.floats(-1e9, 1e9, allow_nan=False))
+    shifted = grid.copy()
+    if axis == 0:
+        shifted[index, :] += shift
+    else:
+        shifted[:, index] += shift
+    return grid, shifted
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifted_grids())
+def test_assign_marks_invariant_under_row_or_column_shift(grids):
+    grid, shifted = grids
+    assert matcher.assign(costs_of(shifted)).marks == matcher.assign(costs_of(grid)).marks
+
+
+@pytest.mark.parametrize("shape", [(96, 80), (200, 200)])
+def test_assign_solves_once(monkeypatch, shape):
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(matcher, "linear_sum_assignment", counting)
+    grid = np.random.default_rng(47).uniform(0, 1000, shape)
+    result = matcher.assign(costs_of(grid))
+    assert calls == [shape]
+    assert len(result.marks) == min(shape)
+
+
+def test_assign_rejects_a_non_optimal_tie_break(monkeypatch):
+    # The chosen total is checked against the solver's optimum.
+    monkeypatch.setattr(matcher, "_lex_min_tight", lambda tight, col_of: col_of[::-1])
+    with pytest.raises(matcher.MatcherError):
+        matcher.assign(costs_of([[0, 1], [1, 0]]))
