@@ -3,7 +3,12 @@
 An allocation state machine with three-valued reports, closed-form simple
 linear regression, minimum-cost assignment matching, and deterministic
 trace formats, wired together by the `wrmap` CLI.
+
+The matcher names load `wrmap.matcher`, and with it numpy and scipy, on
+first access, so importing the package needs the standard library only.
 """
+
+from importlib import import_module
 
 from .core import (
     AllocationState,
@@ -14,14 +19,6 @@ from .core import (
     find,
     init,
     map_query,
-)
-from .matcher import (
-    AssignmentMatrix,
-    CostMatrix,
-    assign,
-    build_cost_matrix,
-    matrix_to_state,
-    state_to_matrix,
 )
 from .regression import (
     Dataset,
@@ -60,3 +57,20 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_MATCHER_NAMES = (
+    "AssignmentMatrix",
+    "CostMatrix",
+    "assign",
+    "build_cost_matrix",
+    "matrix_to_state",
+    "state_to_matrix",
+)
+
+
+def __getattr__(name: str):
+    if name not in _MATCHER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(".matcher", __name__), name)
+    globals()[name] = value
+    return value

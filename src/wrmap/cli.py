@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 domain error (singular fit, failed expectation,
 missing model, ...), 2 usage or parse error. Errors go to stderr only;
 stdout carries just the tables and transcripts, byte-deterministic for
 identical inputs.
+
+Only `allocate` imports the matcher, and with it numpy and scipy; the
+other subcommands run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -11,15 +14,22 @@ from __future__ import annotations
 import argparse
 import sys
 from math import isfinite
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import matcher, regression, trace_io
+from . import regression, trace_io
+
+if TYPE_CHECKING:
+    from .matcher import AssignmentMatrix
 
 MARK = "✓"
 
 
 class _UsageError(Exception):
     pass
+
+
+class _DomainError(Exception):
+    """Well-formed input that has no answer; exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +70,13 @@ def _parse_pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _known_pair(datasets, text: str) -> tuple[str, str]:
+    pair = _parse_pair(text)
+    if pair not in datasets:
+        raise _DomainError(f"unknown pair {pair[0]}:{pair[1]}")
+    return pair
+
+
 def _fit_all(datasets, pairs):
     models = {}
     for pair in pairs:
@@ -78,14 +95,7 @@ def _fit_all(datasets, pairs):
 
 def cmd_fit(args) -> int:
     datasets = trace_io.parse_observations(_read_file(args.input))
-    if args.all:
-        pairs = sorted(datasets)
-    else:
-        pair = _parse_pair(args.pair)
-        if pair not in datasets:
-            print(f"error: unknown pair {pair[0]}:{pair[1]}", file=sys.stderr)
-            return 1
-        pairs = [pair]
+    pairs = sorted(datasets) if args.all else [_known_pair(datasets, args.pair)]
     models = _fit_all(datasets, pairs)
     print("resource,workload,mu0_hat,mu1_hat,ssr,r2,n")
     for pair in pairs:
@@ -104,10 +114,7 @@ def cmd_fit(args) -> int:
 
 def cmd_residuals(args) -> int:
     datasets = trace_io.parse_observations(_read_file(args.input))
-    pair = _parse_pair(args.pair)
-    if pair not in datasets:
-        print(f"error: unknown pair {pair[0]}:{pair[1]}", file=sys.stderr)
-        return 1
+    pair = _known_pair(datasets, args.pair)
     data = datasets[pair]
     model = _fit_all(datasets, [pair])[pair]
     print("a,w,r,fitted,residual")
@@ -120,7 +127,7 @@ def cmd_residuals(args) -> int:
     return 0
 
 
-def render_assignment(m: matcher.AssignmentMatrix) -> str:
+def render_assignment(m: AssignmentMatrix) -> str:
     """Check-mark table: header row of workloads, one labeled row per resource."""
     label_width = max((len(r) for r in m.resources), default=0)
     widths = [len(w) for w in m.workloads]
@@ -141,10 +148,17 @@ def _parse_names(text: str, flag: str) -> list[str]:
     names = [t for t in text.split(",") if t]
     if not names:
         raise _UsageError(f"{flag} must list at least one name")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise _UsageError(f"{flag} lists {name} more than once")
+        seen.add(name)
     return names
 
 
 def cmd_allocate(args) -> int:
+    from . import matcher
+
     if not isfinite(args.at):
         raise _UsageError(f"--at must be a finite number, got {args.at}")
     datasets = trace_io.parse_observations(_read_file(args.input))
@@ -154,11 +168,13 @@ def cmd_allocate(args) -> int:
     missing = [pair for pair in needed if pair not in datasets]
     if missing:
         r, w = missing[0]
-        print(f"error: no observations for pair {r}:{w}", file=sys.stderr)
-        return 1
+        raise _DomainError(f"no observations for pair {r}:{w}")
     models = _fit_all(datasets, needed)
-    costs = matcher.build_cost_matrix(models, resources, workloads, args.at)
-    assignment = matcher.assign(costs)
+    try:
+        costs = matcher.build_cost_matrix(models, resources, workloads, args.at)
+        assignment = matcher.assign(costs)
+    except matcher.MatcherError as exc:
+        raise _DomainError(str(exc)) from exc
     table = render_assignment(assignment)
     if args.snapshot:
         state = matcher.matrix_to_state(assignment)
@@ -232,7 +248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (_UsageError, trace_io.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (regression.RegressionError, matcher.MatcherError) as exc:
+    except (_DomainError, regression.RegressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,6 +35,15 @@ class MissingModel(MatcherError):
         self.workload = workload
 
 
+class NonFiniteCost(MatcherError):
+    def __init__(self, resource: str, workload: str, value: float):
+        super().__init__(
+            f"predicted cost for pair {resource}:{workload} is not finite ({value})"
+        )
+        self.resource = resource
+        self.workload = workload
+
+
 class NonSquare(MatcherError):
     """Rectangular cost matrix with padding disabled."""
 
@@ -105,7 +114,8 @@ def build_cost_matrix(
 ) -> CostMatrix:
     """Predicted cost of each workload on each resource at demand level w_query.
 
-    Every (resource, workload) pair must have a fitted model.
+    Every (resource, workload) pair must have a fitted model whose
+    prediction is finite.
     """
     res = tuple(sorted(check_token(r) for r in resources))
     wls = tuple(sorted(check_token(w) for w in workloads))
@@ -118,7 +128,10 @@ def build_cost_matrix(
             model = models.get((r, w))
             if model is None:
                 raise MissingModel(r, w)
-            row.append(predict(model, w_query))
+            cost = predict(model, w_query)
+            if not isfinite(cost):
+                raise NonFiniteCost(r, w, cost)
+            row.append(cost)
         rows.append(tuple(row))
     return CostMatrix(res, wls, tuple(rows))
 

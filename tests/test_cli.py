@@ -192,6 +192,34 @@ class TestAllocate:
             assert out == ""
             assert_one_line_usage_error(code, err)
 
+    @pytest.mark.parametrize(
+        "resources, workloads",
+        [("R1,R2,R1", "W1"), ("R1", "W1,W1")],
+        ids=["resources", "workloads"],
+    )
+    def test_duplicate_names(self, capsys, resources, workloads):
+        code, out, err = run(
+            capsys,
+            "allocate", "--input", OBSERVATIONS, "--at", "1",
+            "--resources", resources, "--workloads", workloads,
+        )
+        assert out == ""
+        assert_one_line_usage_error(code, err)
+        assert "more than once" in err
+
+    def test_overflowing_cost(self, capsys, tmp_path):
+        path = tmp_path / "steep.csv"
+        path.write_text("resource,workload,w,r\nR1,W1,1,10\nR1,W1,2,20\nR1,W1,3,30\n")
+        code, out, err = run(
+            capsys,
+            "allocate", "--input", str(path), "--at", "1e308",
+            "--resources", "R1", "--workloads", "W1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "R1:W1" in err
+
     def test_missing_pair(self, capsys):
         code, _, err = run(
             capsys,

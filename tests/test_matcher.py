@@ -128,6 +128,18 @@ def test_build_cost_matrix_missing_model():
         matcher.build_cost_matrix({}, ["R1"], ["W1"], 0.0)
 
 
+@pytest.mark.parametrize("at", [1e308, -1e308])
+def test_build_cost_matrix_overflowing_prediction(at):
+    models = {
+        ("R1", "W1"): RegressionModel(0.0, 1.0, 0.0, 3),
+        ("R1", "W2"): RegressionModel(0.0, 10.0, 0.0, 3),
+    }
+    with pytest.raises(matcher.NonFiniteCost, match="pair R1:W2") as info:
+        matcher.build_cost_matrix(models, ["R1"], ["W1", "W2"], at)
+    assert isinstance(info.value, matcher.MatcherError)
+    assert (info.value.resource, info.value.workload) == ("R1", "W2")
+
+
 def test_assign_diagonal():
     grid = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
     result = matcher.assign(costs_of(grid))
