@@ -4,8 +4,9 @@ An allocation state machine with three-valued reports, closed-form simple
 linear regression, minimum-cost assignment matching, and deterministic
 trace formats, wired together by the `wrmap` CLI.
 
-The matcher names load `wrmap.matcher`, and with it numpy and scipy, on
-first access, so importing the package needs the standard library only.
+The package needs the standard library only. The matcher names load
+`wrmap.matcher` on first access, so the subcommands that never match
+(`fit`, `residuals`, `replay`) do not pay for importing it.
 """
 
 from importlib import import_module

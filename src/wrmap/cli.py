@@ -5,8 +5,8 @@ missing model, ...), 2 usage or parse error. Errors go to stderr only;
 stdout carries just the tables and transcripts, byte-deterministic for
 identical inputs.
 
-Only `allocate` imports the matcher, and with it numpy and scipy; the
-other subcommands run on the standard library alone.
+Every subcommand runs on the standard library alone. Only `allocate`
+imports the matcher, which the others never need.
 """
 
 from __future__ import annotations
@@ -90,6 +90,10 @@ def _fit_all(datasets, pairs):
             raise regression.InsufficientData(
                 f"insufficient data for {pair[0]}:{pair[1]}"
             ) from exc
+        except regression.NumericOverflow as exc:
+            raise regression.NumericOverflow(
+                f"numeric overflow fitting {pair[0]}:{pair[1]}"
+            ) from exc
     return models
 
 
@@ -97,18 +101,23 @@ def cmd_fit(args) -> int:
     datasets = trace_io.parse_observations(_read_file(args.input))
     pairs = sorted(datasets) if args.all else [_known_pair(datasets, args.pair)]
     models = _fit_all(datasets, pairs)
-    print("resource,workload,mu0_hat,mu1_hat,ssr,r2,n")
+    lines = ["resource,workload,mu0_hat,mu1_hat,ssr,r2,n"]
     for pair in pairs:
         model = models[pair]
         try:
             r2 = _fmt(regression.goodness_of_fit(model, datasets[pair]), args.precision)
         except regression.ConstantResponse:
             r2 = ""
-        print(
+        except regression.NumericOverflow as exc:
+            raise regression.NumericOverflow(
+                f"numeric overflow in R-squared for {pair[0]}:{pair[1]}"
+            ) from exc
+        lines.append(
             f"{pair[0]},{pair[1]},{_fmt(model.mu0_hat, args.precision)},"
             f"{_fmt(model.mu1_hat, args.precision)},{_fmt(model.ssr, args.precision)},"
             f"{r2},{model.n}"
         )
+    print("\n".join(lines))
     return 0
 
 

@@ -5,20 +5,19 @@ minimum-cost one-to-one assignment, producing a check-mark matrix with at
 most one mark per row and per column. Among equal-cost optima the
 lexicographically smallest mark set is returned, so outputs are reproducible.
 
-The assignment takes one call to scipy's `linear_sum_assignment` (Crouse
-2016), which accepts rectangular matrices. Ties are then broken on the
-zero-reduced-cost cells of a dual solution (Kuhn 1955; Jonker and Volgenant
-1987), with one alternating-cycle search per row.
+The assignment takes one call to `linear_sum_assignment`, a pure-Python
+shortest-augmenting-path solver (Crouse 2016; Jonker and Volgenant 1987)
+that accepts rectangular matrices and returns a dual solution along with
+the matching. Ties are then broken on the zero-reduced-cost cells of that
+dual (Kuhn 1955), with one alternating-cycle search per row. The module
+needs the standard library only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, isfinite
+from math import frexp, fsum, isfinite, ldexp
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import AllocationState, check_token
 from .regression import RegressionModel, predict
@@ -136,83 +135,141 @@ def build_cost_matrix(
     return CostMatrix(res, wls, tuple(rows))
 
 
-def _reduced_costs(square: np.ndarray, col_of: np.ndarray, tol: float) -> np.ndarray:
-    """Reduced costs cost[i, j] - u[i] - v[j] of a dual solution for the
-    optimal perfect matching row i -> col_of[i].
+def linear_sum_assignment(
+    cost: Sequence[Sequence[float]],
+) -> tuple[list[int], list[float], list[float]]:
+    """Minimum-cost matching of a rectangular matrix, with its dual.
 
-    Moving row i from column col_of[i] to column j changes the total by
-    step[i, j]; column potentials are shortest-path distances over these
-    moves (Bellman-Ford, every column a source at distance 0), which exist
-    because an optimal matching leaves no negative cycle. A relaxation
-    counts only when it gains more than tol, so rounding noise cannot keep
-    it running; the result is >= -tol everywhere and exactly 0 on the
-    matching.
+    Shortest augmenting paths (Crouse 2016; Jonker and Volgenant 1987):
+    each row of the shorter side is matched in turn along a shortest path
+    of reduced costs, the search scanning a shrinking list of remaining
+    columns and preferring a free column on equal distance. Returns
+    (col_of, u, v): col_of[i] is the column of row i, or -1 when row i is
+    left unmatched; u and v are row and column potentials with
+    cost[i][j] - u[i] - v[j] >= 0 up to rounding and 0 on the matching.
+    The potentials of the longer side are <= 0 up to rounding and exactly
+    0 where unmatched, so zero-cost dummies at potential 0 that square the
+    matrix up keep the dual feasible.
     """
-    n = len(col_of)
-    step = square - square[np.arange(n), col_of][:, None]
-    potential = np.zeros(n)
-    moved = np.ones(n, dtype=bool)  # columns whose potential fell last round
-    for _ in range(n):
-        movers = np.flatnonzero(moved[col_of])
-        if movers.size == 0:
-            break
-        relaxed = (potential[col_of[movers]][:, None] + step[movers]).min(axis=0)
-        moved = relaxed < potential - tol
-        potential = np.where(moved, relaxed, potential)
-    return step + potential[col_of][:, None] - potential[None, :]
+    n_rows = len(cost)
+    n_cols = len(cost[0]) if n_rows else 0
+    transpose = n_rows > n_cols
+    if transpose:
+        cost = list(zip(*cost))
+        n_rows, n_cols = n_cols, n_rows
+    inf = float("inf")
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    path = [-1] * n_cols
+    for start in range(n_rows):
+        dist = [inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows = []
+        seen_cols = []
+        i = start
+        lowest = 0.0
+        while True:
+            seen_rows.append(i)
+            row = cost[i]
+            base = lowest - u[i]
+            lowest = inf
+            index = -1
+            for k, j in enumerate(remaining):
+                d = base + row[j] - v[j]
+                if d < dist[j]:
+                    path[j] = i
+                    dist[j] = d
+                else:
+                    d = dist[j]
+                if d < lowest or (d == lowest and row4col[j] < 0):
+                    lowest = d
+                    index = k
+            j = remaining[index]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[start] += lowest
+        for i in seen_rows[1:]:
+            u[i] += lowest - dist[col4row[i]]
+        for j in seen_cols:
+            v[j] -= lowest - dist[j]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    if not transpose:
+        return col4row, u, v
+    return row4col, v, u
 
 
 def _reachable_to(
-    tight: np.ndarray, col_of: np.ndarray, row: int, target: int, wanted: int
-) -> np.ndarray:
+    rows_of: list[list[int]], col_of: list[int], row: int, target: int, wanted: int
+) -> list[int]:
     """Reverse breadth-first search for alternating paths into column target.
 
-    Returns nxt, where nxt[c] >= 0 means the row holding column c can move
-    to column nxt[c] along a tight edge, and so on until target is reached.
-    Rows up to and including row never move. The search stops early once
-    column wanted is reached.
+    rows_of[c] lists the rows with a tight cell in column c. Returns nxt,
+    where nxt[c] >= 0 means the row holding column c can move to column
+    nxt[c] along a tight cell, and so on until target is reached. Rows up
+    to and including row never move. The search stops early once column
+    wanted is reached.
     """
-    nxt = np.full(len(col_of), -1)
-    visited = np.zeros(len(col_of), dtype=bool)
-    visited[: row + 1] = True
-    frontier = np.array([target])
-    while frontier.size and nxt[wanted] < 0:
-        hit = tight[:, frontier] & ~visited[:, None]
-        rows = np.flatnonzero(hit.any(axis=1))
-        visited[rows] = True
-        nxt[col_of[rows]] = frontier[hit[rows].argmax(axis=1)]
-        frontier = col_of[rows]
+    nxt = [-1] * len(col_of)
+    visited = [k <= row for k in range(len(col_of))]
+    frontier = [target]
+    while frontier and nxt[wanted] < 0:
+        reached = []
+        for c in frontier:
+            for r in rows_of[c]:
+                if not visited[r]:
+                    visited[r] = True
+                    nxt[col_of[r]] = c
+                    reached.append(col_of[r])
+        frontier = reached
     return nxt
 
 
-def _lex_min_tight(tight: np.ndarray, col_of: np.ndarray) -> np.ndarray:
+def _lex_min_tight(tight: list[list[int]], col_of: list[int]) -> list[int]:
     """Lexicographically smallest perfect matching inside the tight subgraph.
 
-    col_of is a perfect matching made of tight edges. Row by row, row i
-    takes the smallest column j < col_of[i], not held by an earlier row,
-    that lies on an alternating cycle through (i, col_of[i]); the cycle is
-    rotated so that i holds j. One reverse search per row finds every such
-    j, so the whole pass is O(n^3).
+    tight[i] lists row i's tight columns in ascending order, and col_of is
+    a perfect matching made of tight cells. Row by row, row i takes the
+    smallest column j < col_of[i], not held by an earlier row, that lies
+    on an alternating cycle through (i, col_of[i]); the cycle is rotated so
+    that i holds j. One reverse search per row finds every such j, so the
+    whole pass is O(n^3).
     """
-    col_of = col_of.copy()
-    row_of = np.empty_like(col_of)
-    row_of[col_of] = np.arange(len(col_of))
-    for i in range(len(col_of)):
+    n = len(col_of)
+    col_of = list(col_of)
+    row_of = [0] * n
+    for i, j in enumerate(col_of):
+        row_of[j] = i
+    rows_of: list[list[int]] = [[] for _ in range(n)]
+    for i, cols in enumerate(tight):
+        for j in cols:
+            rows_of[j].append(i)
+    for i in range(n):
         target = col_of[i]
-        candidates = np.flatnonzero(tight[i, :target])
-        candidates = candidates[row_of[candidates] > i]
-        if candidates.size == 0:
+        candidates = [j for j in tight[i] if j < target and row_of[j] > i]
+        if not candidates:
             continue
-        nxt = _reachable_to(tight, col_of, i, target, candidates[0])
-        candidates = candidates[nxt[candidates] >= 0]
-        if candidates.size == 0:
+        nxt = _reachable_to(rows_of, col_of, i, target, candidates[0])
+        reachable = [j for j in candidates if nxt[j] >= 0]
+        if not reachable:
             continue
-        path = [int(candidates[0])]
+        path = [reachable[0]]
         while path[-1] != target:
-            path.append(int(nxt[path[-1]]))
-        owners = row_of[path[:-1]]
-        col_of[owners] = path[1:]
-        row_of[path[1:]] = owners
+            path.append(nxt[path[-1]])
+        owners = [row_of[c] for c in path[:-1]]
+        for owner, c in zip(owners, path[1:]):
+            col_of[owner] = c
+            row_of[c] = owner
         col_of[i] = path[0]
         row_of[path[0]] = i
     return col_of
@@ -226,40 +283,45 @@ def assign(costs: CostMatrix, pad: bool = True) -> AssignmentMatrix:
     small as possible, then row 1's, and so on, with an unmarked row
     ranking after every column.
 
-    The solver runs once, on the matrix as given. Its solution is squared
-    up with zero-cost dummy rows or columns, which rank after the real ones
-    and change no total. Dual potentials of that solution mark the tight
-    cells, those whose reduced cost is within about 1e-12 of the largest
-    real |cost|, and the tie-break picks among tight cells only. The chosen
-    total is checked against the solver's optimum; a mismatch raises
-    MatcherError. Pass pad=False to reject rectangular input.
+    The solver runs once, on the matrix as given, and returns a dual
+    solution along with the matching. The solution is squared up with
+    zero-cost dummy rows or columns at potential 0, which rank after the
+    real ones, change no total and keep the dual feasible. The potentials
+    mark the tight cells, those whose reduced cost is within about 1e-12
+    of the largest real |cost|, and the tie-break picks among tight cells
+    only. The chosen total is checked against the solver's optimum; a
+    mismatch raises MatcherError. Pass pad=False to reject rectangular
+    input.
     """
-    matrix = np.array(costs.cost, dtype=float).reshape(
-        len(costs.resources), len(costs.workloads)
-    )
-    n_res, n_wl = matrix.shape
+    n_res, n_wl = len(costs.resources), len(costs.workloads)
     if n_res != n_wl and not pad:
         raise NonSquare(f"cost matrix is {n_res}x{n_wl}")
-    if matrix.size == 0:
+    if n_res == 0 or n_wl == 0:
         return AssignmentMatrix(costs.resources, costs.workloads, frozenset(), costs)
     # Dividing by a power of two is exact and leaves every |cost| below 1,
     # so totals cannot overflow and the tolerance can be absolute.
-    matrix = np.ldexp(matrix, -np.frexp(np.abs(matrix).max())[1])
+    scale = -frexp(max(abs(c) for row in costs.cost for c in row))[1]
+    matrix = [[ldexp(c, scale) for c in row] for row in costs.cost]
     tol = 1e-12
-    rows, cols = linear_sum_assignment(matrix)
-    best = fsum(matrix[rows, cols])
+    col_of, u, v = linear_sum_assignment(matrix)
+    best = fsum(matrix[i][j] for i, j in enumerate(col_of) if j >= 0)
     n = max(n_res, n_wl)
-    square = np.zeros((n, n))
-    square[:n_res, :n_wl] = matrix
-    col_of = np.full(n, -1)
-    col_of[rows] = cols
-    col_of[col_of < 0] = np.setdiff1d(np.arange(n), cols)
-    tight = _reduced_costs(square, col_of, tol) <= tol
+    free = iter(sorted(set(range(n)).difference(col_of)))
+    col_of = [j if j >= 0 else next(free) for j in col_of]
+    col_of += [next(free) for _ in range(n - n_res)]
+    u += [0.0] * (n - n_res)
+    v += [0.0] * (n - n_wl)
+    zeros = [0.0] * n
+    square = [row + zeros[n_wl:] for row in matrix] + [zeros] * (n - n_res)
+    tight = [
+        [j for j, (c, vj) in enumerate(zip(row, v)) if c - ui - vj <= tol]
+        for row, ui in zip(square, u)
+    ]
     col_of = _lex_min_tight(tight, col_of)
-    gap = fsum(square[np.arange(n), col_of]) - best
+    gap = fsum(square[i][j] for i, j in enumerate(col_of)) - best
     if abs(gap) > (n + 1) * tol:
         raise MatcherError(f"tie-break total is {gap:.3g} off the optimum (scaled)")
-    marks = {(i, int(j)) for i, j in enumerate(col_of[:n_res]) if j < n_wl}
+    marks = {(i, j) for i, j in enumerate(col_of[:n_res]) if j < n_wl}
     return AssignmentMatrix(costs.resources, costs.workloads, frozenset(marks), costs)
 
 

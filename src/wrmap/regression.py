@@ -71,35 +71,50 @@ class RegressionModel:
     sigma2_hat: Optional[float] = None
 
 
-# Relative threshold on the centered predictor spread below which the
-# slope denominator is treated as zero.
+class NumericOverflow(RegressionError):
+    """A sum, product or estimate is not finite in floating point."""
+
+
+# Relative threshold on the spread of the predictor, against its largest
+# magnitude, at or below which the slope denominator is treated as zero.
 _SINGULAR_TOL = 1e-12
 
 
 def fit(data: Dataset) -> RegressionModel:
     """Estimate intercept and slope by minimizing the sum of squared residuals.
 
-    Raises InsufficientData for n < 2 and SingularDesign when all predictor
-    values coincide. n = 2 interpolates exactly (ssr = 0, no variance
-    estimate).
+    Two passes: the means, then the centered sums
+    slope = sum((w - w_bar) * (r - r_bar)) / sum((w - w_bar) ** 2), which
+    lose no precision to an offset in w or r (Chan, Golub and LeVeque
+    1983). Raises InsufficientData for n < 2, SingularDesign when the
+    predictor values coincide to within 1e-12 of their largest magnitude
+    (or their squared spread underflows to 0), and NumericOverflow when an
+    intermediate is not finite. n = 2 interpolates exactly (ssr = 0, no
+    variance estimate).
     """
     n = data.n
     if n < 2:
         raise InsufficientData(f"need at least 2 observations, got {n}")
     ws = [o.w for o in data.observations]
     rs = [o.r for o in data.observations]
-    sum_w = fsum(ws)
-    sum_r = fsum(rs)
-    w_bar = sum_w / n
-    r_bar = sum_r / n
-    sum_wr = fsum(w * r for w, r in zip(ws, rs))
-    sum_ww = fsum(w * w for w in ws)
-    spread = fsum((w - w_bar) ** 2 for w in ws)
-    if spread < _SINGULAR_TOL * max(1.0, sum_ww):
-        raise SingularDesign("all predictor values are (nearly) equal")
-    mu1 = (sum_wr - r_bar * sum_w) / (sum_ww - w_bar * sum_w)
-    mu0 = r_bar - mu1 * w_bar
-    ssr_value = fsum((r - (mu0 + mu1 * w)) ** 2 for w, r in zip(ws, rs))
+    try:
+        w_bar = fsum(ws) / n
+        r_bar = fsum(rs) / n
+        dws = [w - w_bar for w in ws]
+        sxx = fsum([d * d for d in dws])
+        sxy = fsum([d * (r - r_bar) for d, r in zip(dws, rs)])
+        if not (isfinite(sxx) and isfinite(sxy)):
+            raise OverflowError
+        bound = _SINGULAR_TOL * max(map(abs, ws))
+        if sxx <= n * bound * bound:
+            raise SingularDesign("all predictor values are (nearly) equal")
+        mu1 = sxy / sxx
+        mu0 = r_bar - mu1 * w_bar
+        ssr_value = fsum([(r - (mu0 + mu1 * w)) ** 2 for w, r in zip(ws, rs)])
+        if not (isfinite(mu1) and isfinite(mu0) and isfinite(ssr_value)):
+            raise OverflowError
+    except (OverflowError, ValueError) as exc:
+        raise NumericOverflow("an intermediate of the fit is not finite") from exc
     sigma2 = ssr_value / (n - 2) if n > 2 else None
     return RegressionModel(mu0, mu1, ssr_value, n, sigma2)
 
@@ -124,10 +139,17 @@ def ssr(model: RegressionModel, data: Dataset) -> float:
 def goodness_of_fit(model: RegressionModel, data: Dataset) -> float:
     """R-squared: 1 - SSR/SST.
 
-    Raises ConstantResponse when the response has zero variation.
+    Raises ConstantResponse when the response has zero variation and
+    NumericOverflow when a sum of squares is not finite.
     """
-    r_bar = fsum(o.r for o in data.observations) / data.n
-    sst = fsum((o.r - r_bar) ** 2 for o in data.observations)
+    try:
+        r_bar = fsum(o.r for o in data.observations) / data.n
+        sst = fsum((o.r - r_bar) ** 2 for o in data.observations)
+        ssr_value = ssr(model, data)
+    except (OverflowError, ValueError) as exc:
+        raise NumericOverflow("a sum of squares is not finite") from exc
+    if not (isfinite(sst) and isfinite(ssr_value)):
+        raise NumericOverflow("a sum of squares is not finite")
     if sst == 0.0:
         raise ConstantResponse("response is constant; R-squared undefined")
-    return 1.0 - ssr(model, data) / sst
+    return 1.0 - ssr_value / sst

@@ -85,6 +85,26 @@ class TestFit:
         assert code == 1
         assert "singular design for R1:W1" in err
 
+    def test_offset_predictor(self, capsys, tmp_path):
+        # (1,2), (2,3), (3,5) with w shifted by 1e6: spread 2, not singular.
+        path = tmp_path / "offset.csv"
+        path.write_text(
+            "resource,workload,w,r\nR1,W1,1000001,2\nR1,W1,1000002,3\nR1,W1,1000003,5\n"
+        )
+        code, out, err = run(capsys, "fit", "--input", str(path), "--pair", "R1:W1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "R1,W1,-1.5e+06,1.5,0.166667,0.964286,3"
+
+    @pytest.mark.parametrize("rows, reason", [
+        ("1e200,1\nR1,W1,2e200,2\nR1,W1,3e200,3", "numeric overflow fitting R1:W1"),
+        ("0,0\nR1,W1,1,1.2e154\nR1,W1,2,2.4e154", "numeric overflow in R-squared for R1:W1"),
+    ])
+    def test_numeric_overflow(self, capsys, tmp_path, rows, reason):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"resource,workload,w,r\nR1,W1,{rows}\n")
+        code, out, err = run(capsys, "fit", "--input", str(path), "--all")
+        assert (code, out, err) == (1, "", f"error: {reason}\n")
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "fit", "--input", "no-such.csv", "--all")
         assert code == 2
@@ -219,6 +239,16 @@ class TestAllocate:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "R1:W1" in err
+
+    def test_overflowing_fit(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("resource,workload,w,r\nR1,W1,1e200,1\nR1,W1,2e200,2\nR1,W1,3e200,3\n")
+        code, out, err = run(
+            capsys,
+            "allocate", "--input", str(path), "--at", "1",
+            "--resources", "R1", "--workloads", "W1",
+        )
+        assert (code, out, err) == (1, "", "error: numeric overflow fitting R1:W1\n")
 
     def test_missing_pair(self, capsys):
         code, _, err = run(

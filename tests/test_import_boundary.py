@@ -1,4 +1,5 @@
-"""Only `allocate` loads numpy and scipy; the package imports without them.
+"""wrmap runs on the standard library: no subcommand and no import of the
+package loads numpy or scipy, and only `allocate` loads the matcher.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported scipy.
@@ -17,14 +18,15 @@ CLI_SCRIPT = """
 import contextlib, io, json, sys
 from wrmap.cli import main
 
-def heavy():
-    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+def loaded():
+    heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+    return heavy, "wrmap.matcher" in sys.modules
 
-runs = {}
+runs = {"import": [0, *loaded()]}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    runs[name] = [code, heavy()]
+    runs[name] = [code, *loaded()]
 print(json.dumps(runs))
 """
 
@@ -41,7 +43,7 @@ def run_python(*args):
     return result.stdout
 
 
-def test_only_allocate_loads_numpy_and_scipy():
+def test_no_command_loads_numpy_or_scipy():
     observations = str(DATA / "observations.csv")
     steps = [
         ("replay", ["replay", "--script", str(DATA / "example_build.replay")]),
@@ -52,10 +54,11 @@ def test_only_allocate_loads_numpy_and_scipy():
     ]
     runs = json.loads(run_python("-c", CLI_SCRIPT, json.dumps(steps)))
     assert runs == {
-        "replay": [0, []],
-        "fit": [0, []],
-        "residuals": [0, []],
-        "allocate": [0, ["numpy", "scipy"]],
+        "import": [0, [], False],
+        "replay": [0, [], False],
+        "fit": [0, [], False],
+        "residuals": [0, [], False],
+        "allocate": [0, [], True],
     }
 
 
@@ -69,6 +72,7 @@ from wrmap import assign, matcher as again
 assert again is matcher and assign is matcher.assign
 for name in wrmap.__all__:
     getattr(wrmap, name)
+assert not {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}
 try:
     wrmap.no_such_name
 except AttributeError:

@@ -339,10 +339,11 @@ def test_assign_marks_invariant_under_row_or_column_shift(grids):
 @pytest.mark.parametrize("shape", [(96, 80), (200, 200)])
 def test_assign_solves_once(monkeypatch, shape):
     calls = []
+    solver = matcher.linear_sum_assignment
 
     def counting(cost):
-        calls.append(cost.shape)
-        return linear_sum_assignment(cost)
+        calls.append((len(cost), len(cost[0])))
+        return solver(cost)
 
     monkeypatch.setattr(matcher, "linear_sum_assignment", counting)
     grid = np.random.default_rng(47).uniform(0, 1000, shape)
@@ -352,7 +353,62 @@ def test_assign_solves_once(monkeypatch, shape):
 
 
 def test_assign_rejects_a_non_optimal_tie_break(monkeypatch):
-    # The chosen total is checked against the solver's optimum.
-    monkeypatch.setattr(matcher, "_lex_min_tight", lambda tight, col_of: col_of[::-1])
+    # The chosen total is checked against the solver's optimum: reversing
+    # the tight (and here optimal) identity matching costs 2 instead of 0.
+    def reversed_matching(tight, col_of):
+        assert tight == [[0], [1]] and col_of == [0, 1]
+        return col_of[::-1]
+
+    monkeypatch.setattr(matcher, "_lex_min_tight", reversed_matching)
     with pytest.raises(matcher.MatcherError):
         matcher.assign(costs_of([[0, 1], [1, 0]]))
+
+
+def scaled_grid(kind, shape, seed):
+    """Costs divided by a power of two to |c| < 1, as `assign` scales them."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        grid = rng.uniform(0, 1000, shape)
+    else:
+        grid = rng.integers(0, 3, shape).astype(float)
+    return np.ldexp(grid, -np.frexp(np.abs(grid).max())[1])
+
+
+SOLVER_SHAPES = [(1, 1), (1, 9), (9, 1), (7, 7), (5, 12), (12, 5), (60, 200),
+                 (200, 60), (199, 200), (200, 199), (200, 200)]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "ties"])
+@pytest.mark.parametrize("shape", SOLVER_SHAPES)
+def test_solver_matches_scipy_and_returns_feasible_duals(kind, shape):
+    cost = scaled_grid(kind, shape, 53 + sum(shape))
+    col_of, u, v = matcher.linear_sum_assignment(cost.tolist())
+    rows, cols = linear_sum_assignment(cost)
+    matched = [(i, j) for i, j in enumerate(col_of) if j >= 0]
+    assert len(col_of) == shape[0] and len(matched) == min(shape)
+    assert len({j for _, j in matched}) == len(matched)
+    n = max(shape)
+    total = sum(cost[i, j] for i, j in matched)
+    assert total == pytest.approx(cost[rows, cols].sum(), abs=(n + 1) * 1e-12)
+    u, v = np.array(u), np.array(v)
+    reduced = cost - u[:, None] - v[None, :]
+    assert reduced.min() >= -1e-12
+    assert all(abs(reduced[i, j]) <= 1e-12 for i, j in matched)
+    matched_rows = {i for i, _ in matched}
+    matched_cols = {j for _, j in matched}
+    assert all(u[i] == 0.0 for i in range(shape[0]) if i not in matched_rows)
+    assert all(v[j] == 0.0 for j in range(shape[1]) if j not in matched_cols)
+    # Zero-cost dummies at potential 0 square the problem up: their
+    # reduced costs -v[j] (dummy rows) or -u[i] (dummy columns) stay >= 0.
+    longer = v if shape[0] <= shape[1] else u
+    assert longer.max() <= 1e-12
+
+
+def test_solver_empty_and_exact_on_integer_ties():
+    assert matcher.linear_sum_assignment([]) == ([], [], [])
+    cost = [[0.25 * c for c in row] for row in np.random.default_rng(59)
+            .integers(0, 3, (40, 40)).tolist()]
+    col_of, u, v = matcher.linear_sum_assignment(cost)
+    # Quarter-integers keep every dual update exact.
+    assert all(cost[i][j] - u[i] - v[j] == 0.0 for i, j in enumerate(col_of))
+    assert min(c - ui - vj for row, ui in zip(cost, u) for c, vj in zip(row, v)) == 0.0

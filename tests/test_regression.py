@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wrmap import regression
 from wrmap.regression import Dataset
@@ -60,6 +61,58 @@ def test_fit_three_points_grid_oracle():
 def test_fit_singular_design():
     with pytest.raises(regression.SingularDesign):
         regression.fit(Dataset.from_pairs([(1, 4), (1, 6)]))
+
+
+def test_fit_offset_predictor_is_not_singular():
+    shifted = Dataset.from_pairs((o.w + 1e6, o.r) for o in THREE_POINTS.observations)
+    model = regression.fit(shifted)
+    assert model.mu1_hat == pytest.approx(1.5, rel=1e-12)
+    assert model.mu0_hat == pytest.approx(1 / 3 - 1.5e6, rel=1e-12)
+    assert model.ssr == pytest.approx(1 / 6, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [2.0**-200, 2.0**-40, 2.0**40, 2.0**200])
+def test_fit_singularity_test_is_scale_aware(scale):
+    spread = Dataset.from_pairs((o.w * scale, o.r) for o in THREE_POINTS.observations)
+    assert regression.fit(spread).mu1_hat == pytest.approx(1.5 / scale, rel=1e-12)
+    flat = Dataset.from_pairs([(3 * scale, 4), (3 * scale, 6), (3 * scale, 5)])
+    with pytest.raises(regression.SingularDesign):
+        regression.fit(flat)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1e200, 1), (2e200, 2), (3e200, 3)],  # (w - w_bar) ** 2 overflows
+    [(-1.5e308, 0), (1.5e308, 1)],  # w - w_bar overflows
+    [(0, 1e308), (1, -1e308), (2, 1e308)],  # the sum of r overflows
+])
+def test_fit_overflow_is_a_regression_error(pairs):
+    with pytest.raises(regression.NumericOverflow) as info:
+        regression.fit(Dataset.from_pairs(pairs))
+    assert isinstance(info.value, regression.RegressionError)
+
+
+def test_goodness_of_fit_overflow_is_a_regression_error():
+    data = Dataset.from_pairs([(0, 0), (1, 1.2e154), (2, 2.4e154)])
+    model = regression.fit(data)
+    assert model.mu1_hat == 1.2e154
+    with pytest.raises(regression.NumericOverflow):
+        regression.goodness_of_fit(model, data)
+    steep = regression.RegressionModel(0.0, 1e300, 0.0, 3)  # residuals overflow
+    with pytest.raises(regression.NumericOverflow):
+        regression.goodness_of_fit(steep, THREE_POINTS)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+             min_size=2, max_size=12).filter(lambda ps: len({w for w, _ in ps}) > 1),
+    st.integers(-10**12, 10**12),
+)
+def test_slope_is_translation_invariant(pairs, shift):
+    # Integer data shifted by an integer stay exact, so the centered sums
+    # differ only through the rounding of the two means.
+    base = regression.fit(Dataset.from_pairs(pairs))
+    moved = regression.fit(Dataset.from_pairs((w + shift, r) for w, r in pairs))
+    assert moved.mu1_hat == pytest.approx(base.mu1_hat, rel=1e-9, abs=1e-12)
 
 
 def test_fit_constant_response():
