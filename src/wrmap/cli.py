@@ -47,9 +47,11 @@ def _fmt(value: float, precision: str) -> str:
     return f"{value:.6g}"
 
 
-def _read_file(path: str) -> str:
+def _read_file(path: str) -> bytes:
+    """The file's bytes, as written: the parsers decode UTF-8 and see every
+    line ending, so a CRLF or invalid UTF-8 is reported as a parse error."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
@@ -127,11 +129,11 @@ def cmd_residuals(args) -> int:
     data = datasets[pair]
     model = _fit_all(datasets, [pair])[pair]
     print("a,w,r,fitted,residual")
-    for a, obs in enumerate(data.observations, start=1):
-        fitted = regression.predict(model, obs.w)
+    for a, (w, r) in enumerate(zip(data.ws, data.rs), start=1):
+        fitted = regression.predict(model, w)
         print(
-            f"{a},{_fmt(obs.w, args.precision)},{_fmt(obs.r, args.precision)},"
-            f"{_fmt(fitted, args.precision)},{_fmt(obs.r - fitted, args.precision)}"
+            f"{a},{_fmt(w, args.precision)},{_fmt(r, args.precision)},"
+            f"{_fmt(fitted, args.precision)},{_fmt(r - fitted, args.precision)}"
         )
     return 0
 

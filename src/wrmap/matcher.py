@@ -59,12 +59,28 @@ class UnknownLabel(MatcherError):
 class CostMatrix:
     """Rectangular grid of predicted costs, rows=resources, cols=workloads.
 
-    Orders are lexicographic by id; all entries finite.
+    Orders are lexicographic by id; all entries finite. The constructor
+    checks both; `_trusted` skips the checks for a caller that has made
+    them already (`build_cost_matrix`).
     """
 
     resources: tuple[str, ...]
     workloads: tuple[str, ...]
     cost: tuple[tuple[float, ...], ...]
+
+    @classmethod
+    def _trusted(
+        cls,
+        resources: tuple[str, ...],
+        workloads: tuple[str, ...],
+        cost: tuple[tuple[float, ...], ...],
+    ) -> "CostMatrix":
+        """Wrap sorted names and a full grid of finite costs without checking."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "resources", resources)
+        object.__setattr__(matrix, "workloads", workloads)
+        object.__setattr__(matrix, "cost", cost)
+        return matrix
 
     def __post_init__(self) -> None:
         if list(self.resources) != sorted(self.resources):
@@ -132,7 +148,7 @@ def build_cost_matrix(
                 raise NonFiniteCost(r, w, cost)
             row.append(cost)
         rows.append(tuple(row))
-    return CostMatrix(res, wls, tuple(rows))
+    return CostMatrix._trusted(res, wls, tuple(rows))
 
 
 def linear_sum_assignment(

@@ -34,26 +34,49 @@ class Observation(NamedTuple):
     r: float  # dependent: resource measure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """Ordered observations, indexed 1..n for reporting."""
+    """Ordered observations, indexed 1..n for reporting.
 
-    observations: tuple[Observation, ...]
+    Held as two float columns of equal length, `ws` (predictor) and `rs`
+    (response), in observation order; `fit` and the diagnostics read them
+    directly. `Dataset(observations)` and `from_pairs` convert every value
+    to float and reject non-finite ones. `_trusted` stores columns that the
+    caller already holds as finite floats (the CSV parser) without
+    re-checking them. Equality and hashing compare the columns, so they
+    agree with comparing the observations.
+    """
 
-    def __post_init__(self) -> None:
-        obs = tuple(Observation(float(w), float(r)) for w, r in self.observations)
+    ws: tuple[float, ...]
+    rs: tuple[float, ...]
+
+    def __init__(self, observations: Iterable[tuple[float, float]]) -> None:
+        obs = tuple(Observation(float(w), float(r)) for w, r in observations)
         for o in obs:
             if not (isfinite(o.w) and isfinite(o.r)):
                 raise ValueError(f"non-finite observation: {o}")
-        object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "ws", tuple(o.w for o in obs))
+        object.__setattr__(self, "rs", tuple(o.r for o in obs))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "Dataset":
-        return cls(tuple(Observation(w, r) for w, r in pairs))
+        return cls(pairs)
+
+    @classmethod
+    def _trusted(cls, ws: tuple[float, ...], rs: tuple[float, ...]) -> "Dataset":
+        """Wrap equal-length columns of finite floats without checking them."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "ws", ws)
+        object.__setattr__(data, "rs", rs)
+        return data
+
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        return tuple(map(Observation, self.ws, self.rs))
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return len(self.ws)
 
 
 @dataclass(frozen=True)
@@ -95,8 +118,8 @@ def fit(data: Dataset) -> RegressionModel:
     n = data.n
     if n < 2:
         raise InsufficientData(f"need at least 2 observations, got {n}")
-    ws = [o.w for o in data.observations]
-    rs = [o.r for o in data.observations]
+    ws = data.ws
+    rs = data.rs
     try:
         w_bar = fsum(ws) / n
         r_bar = fsum(rs) / n
@@ -128,7 +151,7 @@ def predict(model: RegressionModel, w: float) -> float:
 
 def residuals(model: RegressionModel, data: Dataset) -> list[float]:
     """Observed minus fitted, in dataset order."""
-    return [r - (model.mu0_hat + model.mu1_hat * w) for w, r in data.observations]
+    return [r - (model.mu0_hat + model.mu1_hat * w) for w, r in zip(data.ws, data.rs)]
 
 
 def ssr(model: RegressionModel, data: Dataset) -> float:
@@ -143,8 +166,8 @@ def goodness_of_fit(model: RegressionModel, data: Dataset) -> float:
     NumericOverflow when a sum of squares is not finite.
     """
     try:
-        r_bar = fsum(o.r for o in data.observations) / data.n
-        sst = fsum((o.r - r_bar) ** 2 for o in data.observations)
+        r_bar = fsum(data.rs) / data.n
+        sst = fsum([(r - r_bar) ** 2 for r in data.rs])
         ssr_value = ssr(model, data)
     except (OverflowError, ValueError) as exc:
         raise NumericOverflow("a sum of squares is not finite") from exc

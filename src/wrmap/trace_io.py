@@ -4,18 +4,27 @@ All formats are deterministic down to the byte: UTF-8, LF line endings,
 lexicographically sorted keys and payload sets, shortest round-trip decimal
 numbers. Parsing is fail-fast: the first malformed line aborts with its
 line number.
+
+An observations line is `resource,workload,w,r`. A token is what
+`core.check_token` accepts (non-empty, no whitespace, no comma); a number
+is ASCII decimal with an optional sign, fraction and exponent, and must be
+finite as a float (no `_`, spaces, `nan`/`inf`, hex or CR). The parser
+matches each line once against one pattern and appends its two numbers
+to the pair's `w` and `r` float columns, which become `Dataset`s through
+the trusted constructor: every value there is already checked.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, Optional, Union
+from typing import Iterable, NoReturn, Optional, Union
 
 from . import core
 from .core import AllocationState, Report, check_token
-from .regression import Dataset, Observation
+from .regression import Dataset
 
 OBSERVATIONS_HEADER = "resource,workload,w,r"
 
@@ -53,7 +62,8 @@ def _decode(text: Union[str, bytes]) -> str:
         try:
             return text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(0, f"invalid UTF-8: {exc}") from exc
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line, f"invalid UTF-8: {exc}") from exc
     return text
 
 
@@ -65,11 +75,35 @@ def _check_tokens(line: int, tokens: Iterable[str]) -> None:
             raise ParseError(line, str(exc)) from exc
 
 
+# A number is ASCII decimal: optional sign, digits with an optional
+# fraction (or a bare fraction), optional exponent. Each repetition is
+# followed only by characters it cannot match, so a failed match
+# backtracks in linear time. A token is what `check_token` accepts: `\s`
+# matches exactly the characters for which `str.isspace` is true.
+_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_ROW = re.compile(rf"([^,\s]+),([^,\s]+),({_NUMBER}),({_NUMBER})")
+
+
+def _reject_row(line: int, text: str) -> NoReturn:
+    """Raise the error for a data line that `_ROW` does not match.
+
+    The reason names the first check the line fails: the column count,
+    then each token, and otherwise the numbers.
+    """
+    fields = text.split(",")
+    if len(fields) != 4:
+        raise ParseError(line, f"expected 4 columns, got {len(fields)}")
+    _check_tokens(line, fields[:2])
+    raise ParseError(line, "invalid number")
+
+
 def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset]:
     """Parse the observations CSV into per-pair datasets.
 
     Header must be exactly `resource,workload,w,r`; records are grouped by
-    (resource, workload) preserving file order within each group.
+    (resource, workload) preserving file order within each group. The
+    line grammar and the column layout are described in the module
+    docstring.
     """
     content = _decode(text)
     lines = content.split("\n")
@@ -79,22 +113,26 @@ def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset
         raise ParseError(1, "missing header")
     if lines[0] != OBSERVATIONS_HEADER:
         raise ParseError(1, f"header must be exactly {OBSERVATIONS_HEADER!r}")
-    groups: dict[tuple[str, str], list[Observation]] = {}
+    match = _ROW.fullmatch
+    columns: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(lineno, f"expected 4 columns, got {len(fields)}")
-        resource, workload, w_text, r_text = fields
-        _check_tokens(lineno, (resource, workload))
-        try:
-            w = float(w_text)
-            r = float(r_text)
-        except ValueError as exc:
-            raise ParseError(lineno, "invalid number") from exc
+        row = match(line)
+        if row is None:
+            _reject_row(lineno, line)
+        resource, workload, w_text, r_text = row.groups()
+        w = float(w_text)
+        r = float(r_text)
         if not (isfinite(w) and isfinite(r)):
             raise ParseError(lineno, "invalid number")
-        groups.setdefault((resource, workload), []).append(Observation(w, r))
-    return {pair: Dataset(tuple(obs)) for pair, obs in groups.items()}
+        pair = (resource, workload)
+        if pair not in columns:
+            columns[pair] = ([], [])
+        ws, rs = columns[pair]
+        ws.append(w)
+        rs.append(r)
+    return {
+        pair: Dataset._trusted(tuple(ws), tuple(rs)) for pair, (ws, rs) in columns.items()
+    }
 
 
 @dataclass(frozen=True)

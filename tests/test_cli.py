@@ -120,6 +120,27 @@ class TestFit:
         assert code == 2
         assert "line 2" in err
 
+    # Outside the number grammar, though float() reads most of them. The CR
+    # ends a CRLF line, which the CLI passes to the parser untranslated.
+    @pytest.mark.parametrize(
+        "number", ["1_0", " 2 ", "nan", "inf", "Infinity", "0x10", "١", "3\r"]
+    )
+    def test_number_outside_grammar(self, capsys, tmp_path, number):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(
+            f"resource,workload,w,r\nR1,W1,0,0\nR1,W1,1,{number}\nR1,W1,2,2\n".encode()
+        )
+        code, out, err = run(capsys, "fit", "--input", str(path), "--all")
+        assert (code, out, err) == (2, "", "error: line 3: invalid number\n")
+
+    def test_invalid_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"resource,workload,w,r\nR1,W1,0,0\nR1,W\xff,1,1\n")
+        code, out, err = run(capsys, "fit", "--input", str(path), "--all")
+        assert_one_line_usage_error(code, err)
+        assert err.startswith("error: line 3: invalid UTF-8")
+        assert out == ""
+
 
 class TestResiduals:
     def test_perfect_fit(self, capsys):

@@ -121,6 +121,8 @@ def test_build_cost_matrix_hand_predictions():
     assert costs.resources == ("R1", "R2")
     assert costs.workloads == ("W1", "W2")
     assert costs.cost == ((5.0, -2.0), (4.0, 0.0))
+    # Built without the constructor's checks, yet equal to a checked matrix.
+    assert costs == CostMatrix(("R1", "R2"), ("W1", "W2"), ((5.0, -2.0), (4.0, 0.0)))
 
 
 def test_build_cost_matrix_missing_model():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wrmap import regression
-from wrmap.regression import Dataset
+from wrmap.regression import Dataset, Observation
 
 
 def grid_search_ssr(data, lo=-5.0, hi=5.0, step=1e-3):
@@ -182,6 +183,37 @@ def test_goodness_of_fit():
     flat = Dataset.from_pairs([(0, 5), (1, 5), (2, 5)])
     with pytest.raises(regression.ConstantResponse):
         regression.goodness_of_fit(regression.fit(flat), flat)
+
+
+def test_dataset_columns_and_constructors():
+    data = Dataset([(1, 2), (2.5, 3)])
+    assert (data.ws, data.rs) == ((1.0, 2.5), (2.0, 3.0))
+    assert all(type(v) is float for v in data.ws + data.rs)
+    assert data.observations == (Observation(1.0, 2.0), Observation(2.5, 3.0))
+    assert data.n == 2
+    assert Dataset.from_pairs([(1, 2), (2.5, 3)]) == data
+    trusted = Dataset._trusted((1.0, 2.5), (2.0, 3.0))
+    assert trusted == data and hash(trusted) == hash(data)
+    assert Dataset.from_pairs([(2.5, 3), (1, 2)]) != data
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.ws = ()
+
+
+def test_diagnostics_sum_the_observations_in_order():
+    # Reading the columns must give the very sums the observation-wise
+    # definitions give, bit for bit.
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        data = random_dataset(rng)
+        model = regression.fit(data)
+        fitted = [model.mu0_hat + model.mu1_hat * o.w for o in data.observations]
+        res = [o.r - f for o, f in zip(data.observations, fitted)]
+        r_bar = math.fsum(o.r for o in data.observations) / data.n
+        sst = math.fsum((o.r - r_bar) ** 2 for o in data.observations)
+        ssr = math.fsum(e * e for e in res)
+        assert regression.residuals(model, data) == res
+        assert regression.ssr(model, data) == ssr
+        assert regression.goodness_of_fit(model, data) == 1.0 - ssr / sst
 
 
 def random_dataset(rng):

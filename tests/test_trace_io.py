@@ -1,9 +1,13 @@
+import sys
+import time
+from math import isfinite
+
 import pytest
 from hypothesis import given, strategies as st
 
 from wrmap import core, trace_io
-from wrmap.core import AllocationState
-from wrmap.regression import Observation
+from wrmap.core import AllocationState, check_token
+from wrmap.regression import Dataset, Observation
 
 
 class TestParseObservations:
@@ -62,6 +66,86 @@ class TestParseObservations:
 
     def test_accepts_bytes(self):
         assert trace_io.parse_observations(b"resource,workload,w,r\n") == {}
+
+    def test_invalid_utf8_names_its_line(self):
+        with pytest.raises(trace_io.ParseError) as err:
+            trace_io.parse_observations(b"resource,workload,w,r\nR1,W\xff,1,2\n")
+        assert err.value.line == 2
+        assert err.value.reason.startswith("invalid UTF-8")
+
+    @pytest.mark.parametrize(
+        "number", ["1_0", " 2", "2 ", "nan", "inf", "-Infinity", "0x10", "١", "3\r",
+                   "1e999", "1e", "e1", ".", "+", "1.2.3", ""],
+    )
+    def test_number_grammar_rejects(self, number):
+        text = f"resource,workload,w,r\nR1,W1,0,0\nR1,W1,1,{number}\n"
+        with pytest.raises(trace_io.ParseError) as err:
+            trace_io.parse_observations(text)
+        assert (err.value.line, err.value.reason) == (3, "invalid number")
+
+    @pytest.mark.parametrize(
+        "number, value",
+        [("7", 7.0), ("+7", 7.0), ("-0", -0.0), ("7.", 7.0), (".5", 0.5),
+         ("-.5e-3", -0.0005), ("1E+2", 100.0), ("0012.50", 12.5)],
+    )
+    def test_number_grammar_accepts(self, number, value):
+        text = f"resource,workload,w,r\nR1,W1,{number},{number}\n"
+        data = trace_io.parse_observations(text)[("R1", "W1")]
+        assert repr(data.ws) == repr(data.rs) == repr((value,))
+
+    @pytest.mark.parametrize(
+        "field",
+        ["1" * 100_000 + "x", "1." + "1" * 100_000 + "x", ".1e" + "1" * 100_000 + "x",
+         "1" * 100_000 + ".1.", "-" + "1" * 100_000 + "e+"],
+    )
+    def test_long_malformed_number_fails_fast(self, field):
+        # An ambiguous number pattern such as \d+\.?\d* backtracks
+        # quadratically here and would take minutes on this field.
+        text = f"resource,workload,w,r\nR1,W1,{field},2\n"
+        start = time.perf_counter()
+        with pytest.raises(trace_io.ParseError) as err:
+            trace_io.parse_observations(text)
+        assert time.perf_counter() - start < 0.5
+        assert (err.value.line, err.value.reason) == (2, "invalid number")
+
+    def test_long_malformed_token_fails_fast(self):
+        text = "resource,workload,w,r\n" + "R" * 100_000 + " ,W1,1,2\n"
+        start = time.perf_counter()
+        with pytest.raises(trace_io.ParseError) as err:
+            trace_io.parse_observations(text)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.line == 2
+        assert "whitespace" in err.value.reason
+
+    def test_token_class_agrees_with_check_token(self):
+        # The row pattern's token class [^,\s] must accept exactly the
+        # one-character tokens check_token accepts, on every code point.
+        disagree = []
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            try:
+                check_token(ch)
+                valid = True
+            except ValueError:
+                valid = False
+            matched = trace_io._ROW.fullmatch(f"{ch},W,1,2") is not None
+            if matched != valid:
+                disagree.append(hex(code))
+        assert disagree == []
+
+    def test_trusted_datasets_equal_validated(self):
+        text = "resource,workload,w,r\nR1,W1,1,2\nR2,W1,5,5\nR1,W1,2,3.5\n"
+        datasets = trace_io.parse_observations(text)
+        expected = {
+            ("R1", "W1"): Dataset.from_pairs([(1, 2), (2, 3.5)]),
+            ("R2", "W1"): Dataset.from_pairs([(5, 5)]),
+        }
+        assert datasets == expected
+        assert {hash(d) for d in datasets.values()} == {
+            hash(d) for d in expected.values()
+        }
+        assert datasets[("R1", "W1")].ws == (1.0, 2.0)
+        assert datasets[("R1", "W1")].rs == (2.0, 3.5)
 
 
 class TestParseReplay:
@@ -205,3 +289,117 @@ def test_snapshot_round_trip_property(state):
     assert trace_io.read_state(text) == state
     # Byte determinism: rewriting the reread state is identical.
     assert trace_io.write_state(trace_io.read_state(text)) == text
+
+
+def reference_parse_observations(text):
+    """Per-field reference parser of the observations CSV, the oracle for
+    `parse_observations`: split on commas, check the column count, check
+    both tokens, then read the numbers with float() and require them
+    finite. float() also reads spellings outside the number grammar
+    (`1_0`, ` 2`), so the tests give it only lines in the grammar and
+    lines it rejects itself."""
+    content = trace_io._decode(text)
+    lines = content.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise trace_io.ParseError(1, "missing header")
+    if lines[0] != trace_io.OBSERVATIONS_HEADER:
+        raise trace_io.ParseError(
+            1, f"header must be exactly {trace_io.OBSERVATIONS_HEADER!r}"
+        )
+    groups = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise trace_io.ParseError(lineno, f"expected 4 columns, got {len(fields)}")
+        resource, workload, w_text, r_text = fields
+        for name in (resource, workload):
+            try:
+                check_token(name)
+            except ValueError as exc:
+                raise trace_io.ParseError(lineno, str(exc)) from exc
+        try:
+            w = float(w_text)
+            r = float(r_text)
+        except ValueError as exc:
+            raise trace_io.ParseError(lineno, "invalid number") from exc
+        if not (isfinite(w) and isfinite(r)):
+            raise trace_io.ParseError(lineno, "invalid number")
+        groups.setdefault((resource, workload), []).append(Observation(w, r))
+    return {pair: Dataset(tuple(obs)) for pair, obs in groups.items()}
+
+
+def _outcome(parse, text):
+    try:
+        datasets = parse(text)
+    except trace_io.ParseError as exc:
+        return ("error", exc.line, exc.reason)
+    # repr tells -0.0 from 0.0; == checks Dataset equality itself.
+    return ("ok", datasets, repr([(p, d.ws, d.rs) for p, d in datasets.items()]))
+
+
+csv_tokens = st.one_of(
+    st.sampled_from(["R1", "R2", "W1", "wé", "资源"]),
+    st.text(
+        st.characters(blacklist_characters=",").filter(lambda c: not c.isspace()),
+        min_size=1,
+        max_size=4,
+    ),
+)
+# The number grammar: optional sign, digits with an optional fraction or
+# a bare fraction, optional exponent.
+digits = st.text("0123456789", min_size=1, max_size=5)
+signs = st.sampled_from(["", "+", "-"])
+csv_numbers = st.builds(
+    "{}{}{}".format,
+    signs,
+    st.one_of(
+        digits,
+        st.builds("{}.{}".format, digits, st.just("") | digits),
+        digits.map(".{}".format),
+    ),
+    st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"), signs, digits),
+)
+
+
+def csv_line(*fields):
+    return st.tuples(*fields).map(",".join)
+
+
+good_lines = csv_line(csv_tokens, csv_tokens, csv_numbers, csv_numbers)
+# Lines the per-field parser rejects, one family per reason.
+bad_numbers = st.sampled_from(
+    ["", "abc", "1.2.3", "--1", "e5", ".", "-", "1e", "0x10", "nan", "-inf",
+     "Infinity", "1e999", "-1e400"]
+)
+bad_tokens = st.sampled_from(["", "R 1", "\tW", "W\u3000", "R\x1c", "\u2028"])
+bad_lines = st.one_of(
+    st.just(""),
+    st.lists(st.one_of(csv_tokens, csv_numbers), min_size=1, max_size=6)
+    .filter(lambda fields: len(fields) != 4)
+    .map(",".join),
+    csv_line(bad_tokens, csv_tokens, csv_numbers, csv_numbers),
+    csv_line(csv_tokens, bad_tokens, bad_numbers, csv_numbers),
+    csv_line(csv_tokens, csv_tokens, csv_numbers, bad_numbers),
+    csv_line(csv_tokens, csv_tokens, bad_numbers, csv_numbers),
+)
+
+
+@given(st.lists(good_lines, max_size=12), st.booleans())
+def test_parser_matches_reference_on_accepted_language(lines, final_newline):
+    text = "\n".join([trace_io.OBSERVATIONS_HEADER, *lines]) + "\n" * final_newline
+    expected = _outcome(reference_parse_observations, text)
+    assert _outcome(trace_io.parse_observations, text) == expected
+
+
+@given(
+    st.lists(good_lines, max_size=4),
+    bad_lines,
+    st.lists(st.one_of(good_lines, bad_lines), max_size=4),
+)
+def test_parser_matches_reference_on_rejected_lines(before, bad, after):
+    text = "\n".join([trace_io.OBSERVATIONS_HEADER, *before, bad, *after, ""])
+    expected = _outcome(reference_parse_observations, text)
+    assert expected[0] == "error"
+    assert _outcome(trace_io.parse_observations, text) == expected
