@@ -5,8 +5,7 @@ missing model, ...), 2 usage or parse error. Errors go to stderr only;
 stdout carries just the tables and transcripts, byte-deterministic for
 identical inputs.
 
-Every subcommand runs on the standard library alone. Only `allocate`
-imports the matcher, which the others never need.
+Every subcommand runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -14,12 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 from math import isfinite
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import regression, trace_io
-
-if TYPE_CHECKING:
-    from .matcher import AssignmentMatrix
+from . import matcher, regression, trace_io
 
 MARK = "✓"
 
@@ -79,23 +75,22 @@ def _known_pair(datasets, text: str) -> tuple[str, str]:
     return pair
 
 
+# The message prefix for each error `regression.fit` raises.
+_FIT_ERRORS = {
+    regression.SingularDesign: "singular design for",
+    regression.InsufficientData: "insufficient data for",
+    regression.NumericOverflow: "numeric overflow fitting",
+}
+
+
 def _fit_all(datasets, pairs):
     models = {}
     for pair in pairs:
         try:
             models[pair] = regression.fit(datasets[pair])
-        except regression.SingularDesign as exc:
-            raise regression.SingularDesign(
-                f"singular design for {pair[0]}:{pair[1]}"
-            ) from exc
-        except regression.InsufficientData as exc:
-            raise regression.InsufficientData(
-                f"insufficient data for {pair[0]}:{pair[1]}"
-            ) from exc
-        except regression.NumericOverflow as exc:
-            raise regression.NumericOverflow(
-                f"numeric overflow fitting {pair[0]}:{pair[1]}"
-            ) from exc
+        except tuple(_FIT_ERRORS) as exc:
+            error = type(exc)
+            raise error(f"{_FIT_ERRORS[error]} {pair[0]}:{pair[1]}") from exc
     return models
 
 
@@ -138,7 +133,7 @@ def cmd_residuals(args) -> int:
     return 0
 
 
-def render_assignment(m: AssignmentMatrix) -> str:
+def render_assignment(m: matcher.AssignmentMatrix) -> str:
     """Check-mark table: header row of workloads, one labeled row per resource."""
     label_width = max((len(r) for r in m.resources), default=0)
     widths = [len(w) for w in m.workloads]
@@ -168,8 +163,6 @@ def _parse_names(text: str, flag: str) -> list[str]:
 
 
 def cmd_allocate(args) -> int:
-    from . import matcher
-
     if not isfinite(args.at):
         raise _UsageError(f"--at must be a finite number, got {args.at}")
     datasets = trace_io.parse_observations(_read_file(args.input))
@@ -181,11 +174,8 @@ def cmd_allocate(args) -> int:
         r, w = missing[0]
         raise _DomainError(f"no observations for pair {r}:{w}")
     models = _fit_all(datasets, needed)
-    try:
-        costs = matcher.build_cost_matrix(models, resources, workloads, args.at)
-        assignment = matcher.assign(costs)
-    except matcher.MatcherError as exc:
-        raise _DomainError(str(exc)) from exc
+    costs = matcher.build_cost_matrix(models, resources, workloads, args.at)
+    assignment = matcher.assign(costs)
     table = render_assignment(assignment)
     if args.snapshot:
         state = matcher.matrix_to_state(assignment)
@@ -259,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (_UsageError, trace_io.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_DomainError, regression.RegressionError) as exc:
+    except (_DomainError, regression.RegressionError, matcher.MatcherError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

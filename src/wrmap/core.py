@@ -5,19 +5,20 @@ partial function from resource names to workload names, with the invariant
 that the function's domain equals the available set. Operations take a state
 and return a fresh state plus a three-valued report; any non-OK outcome
 returns the input state unchanged, so callers can check "error preserves
-state" by plain structural equality.
+state" by plain structural equality. An outcome is a named tuple
+(state, report, payload), so callers may unpack it.
 
-Cost model: a state holds one resource -> workload dict, validated once when
-built from outside pairs. `add` checks only its two new tokens and copies the
-dict with one more entry (copy on write: n adds cost O(n^2), at C speed);
+Cost model: a state is a `__slots__` object holding one resource ->
+workload dict, validated once when built from outside pairs. `add` checks
+only its two new tokens and sets a copy of the dict, with one more entry,
+on a fresh empty state (copy on write: n adds cost O(n^2), at C speed);
 `find` is one dict lookup; `map_query` is a scan. `pairs` sorts on demand.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class Report(enum.Enum):
@@ -43,7 +44,6 @@ def check_token(value: str) -> str:
     return value
 
 
-@dataclass(frozen=True, init=False)
 class AllocationState:
     """Immutable allocation: each resource mapped to its workload.
 
@@ -52,7 +52,7 @@ class AllocationState:
     on the order in which the pairs were given.
     """
 
-    _allocation: dict[str, str]
+    __slots__ = ("_allocation",)
 
     def __init__(self, pairs: Iterable[tuple[str, str]] = ()) -> None:
         allocation: dict[str, str] = {}
@@ -62,7 +62,12 @@ class AllocationState:
             if resource in allocation:
                 raise ValueError(f"duplicate resource in allocation: {resource!r}")
             allocation[resource] = workload
-        object.__setattr__(self, "_allocation", allocation)
+        self._allocation = allocation
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._allocation == other._allocation
 
     def __hash__(self) -> int:
         return hash(frozenset(self._allocation.items()))
@@ -87,8 +92,7 @@ class AllocationState:
 Payload = Union[None, str, frozenset]
 
 
-@dataclass(frozen=True)
-class OpOutcome:
+class OpOutcome(NamedTuple):
     """Result of one operation: next state, report, optional output."""
 
     state: AllocationState
@@ -111,9 +115,10 @@ def add(state: AllocationState, resource: str, workload: str) -> OpOutcome:
     check_token(workload)
     if resource in state._allocation:
         return OpOutcome(state, Report.ALREADY_MAPPED)
-    # Only the two new tokens need checking, so skip the validating __init__.
-    grown = object.__new__(AllocationState)
-    object.__setattr__(grown, "_allocation", {**state._allocation, resource: workload})
+    # Only the two new tokens need checking, so the grown dict goes onto an
+    # empty state directly instead of through the validating constructor.
+    grown = AllocationState()
+    grown._allocation = {**state._allocation, resource: workload}
     return OpOutcome(grown, Report.OK)
 
 

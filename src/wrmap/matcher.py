@@ -15,7 +15,7 @@ needs the standard library only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import frexp, fsum, isfinite, ldexp
 from typing import Mapping, Optional, Sequence
 
@@ -43,10 +43,6 @@ class NonFiniteCost(MatcherError):
         self.workload = workload
 
 
-class NonSquare(MatcherError):
-    """Rectangular cost matrix with padding disabled."""
-
-
 class NotInjective(MatcherError):
     """Two resources allocated to the same workload; no matrix form exists."""
 
@@ -55,8 +51,7 @@ class UnknownLabel(MatcherError):
     """An allocated name is absent from the supplied row/column orders."""
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
     """Rectangular grid of predicted costs, rows=resources, cols=workloads.
 
     Orders are lexicographic by id; all entries finite. The constructor
@@ -64,9 +59,27 @@ class CostMatrix:
     them already (`build_cost_matrix`).
     """
 
-    resources: tuple[str, ...]
-    workloads: tuple[str, ...]
-    cost: tuple[tuple[float, ...], ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        resources: tuple[str, ...],
+        workloads: tuple[str, ...],
+        cost: tuple[tuple[float, ...], ...],
+    ) -> "CostMatrix":
+        if list(resources) != sorted(resources):
+            raise ValueError("resources must be in lexicographic order")
+        if list(workloads) != sorted(workloads):
+            raise ValueError("workloads must be in lexicographic order")
+        if len(cost) != len(resources):
+            raise ValueError("cost row count must match resources")
+        for row in cost:
+            if len(row) != len(workloads):
+                raise ValueError("cost column count must match workloads")
+            for value in row:
+                if not isfinite(value):
+                    raise ValueError("cost entries must be finite")
+        return tuple.__new__(cls, (resources, workloads, cost))
 
     @classmethod
     def _trusted(
@@ -76,44 +89,29 @@ class CostMatrix:
         cost: tuple[tuple[float, ...], ...],
     ) -> "CostMatrix":
         """Wrap sorted names and a full grid of finite costs without checking."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "resources", resources)
-        object.__setattr__(matrix, "workloads", workloads)
-        object.__setattr__(matrix, "cost", cost)
-        return matrix
-
-    def __post_init__(self) -> None:
-        if list(self.resources) != sorted(self.resources):
-            raise ValueError("resources must be in lexicographic order")
-        if list(self.workloads) != sorted(self.workloads):
-            raise ValueError("workloads must be in lexicographic order")
-        if len(self.cost) != len(self.resources):
-            raise ValueError("cost row count must match resources")
-        for row in self.cost:
-            if len(row) != len(self.workloads):
-                raise ValueError("cost column count must match workloads")
-            for value in row:
-                if not isfinite(value):
-                    raise ValueError("cost entries must be finite")
+        return tuple.__new__(cls, (resources, workloads, cost))
 
 
-@dataclass(frozen=True)
-class AssignmentMatrix:
+class AssignmentMatrix(namedtuple("AssignmentMatrix", "resources workloads marks cost")):
     """Marks (resource-index, workload-index): at most one per row and column."""
 
-    resources: tuple[str, ...]
-    workloads: tuple[str, ...]
-    marks: frozenset
-    cost: Optional[CostMatrix] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rows = [i for i, _ in self.marks]
-        cols = [j for _, j in self.marks]
+    def __new__(
+        cls,
+        resources: tuple[str, ...],
+        workloads: tuple[str, ...],
+        marks: frozenset,
+        cost: Optional[CostMatrix] = None,
+    ) -> "AssignmentMatrix":
+        rows = [i for i, _ in marks]
+        cols = [j for _, j in marks]
         if len(rows) != len(set(rows)) or len(cols) != len(set(cols)):
             raise ValueError("at most one mark per row and per column")
-        for i, j in self.marks:
-            if not (0 <= i < len(self.resources) and 0 <= j < len(self.workloads)):
+        for i, j in marks:
+            if not (0 <= i < len(resources) and 0 <= j < len(workloads)):
                 raise ValueError(f"mark out of range: {(i, j)}")
+        return tuple.__new__(cls, (resources, workloads, marks, cost))
 
     def total_cost(self) -> float:
         if self.cost is None:
@@ -291,7 +289,7 @@ def _lex_min_tight(tight: list[list[int]], col_of: list[int]) -> list[int]:
     return col_of
 
 
-def assign(costs: CostMatrix, pad: bool = True) -> AssignmentMatrix:
+def assign(costs: CostMatrix) -> AssignmentMatrix:
     """Minimum-total-cost assignment of workloads to resources.
 
     Every row or every column, whichever is fewer, gets one mark. Among the
@@ -306,12 +304,9 @@ def assign(costs: CostMatrix, pad: bool = True) -> AssignmentMatrix:
     mark the tight cells, those whose reduced cost is within about 1e-12
     of the largest real |cost|, and the tie-break picks among tight cells
     only. The chosen total is checked against the solver's optimum; a
-    mismatch raises MatcherError. Pass pad=False to reject rectangular
-    input.
+    mismatch raises MatcherError.
     """
     n_res, n_wl = len(costs.resources), len(costs.workloads)
-    if n_res != n_wl and not pad:
-        raise NonSquare(f"cost matrix is {n_res}x{n_wl}")
     if n_res == 0 or n_wl == 0:
         return AssignmentMatrix(costs.resources, costs.workloads, frozenset(), costs)
     # Dividing by a power of two is exact and leaves every |cost| below 1,

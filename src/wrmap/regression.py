@@ -8,7 +8,7 @@ platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import fsum, isfinite
 from typing import Iterable, NamedTuple, Optional
 
@@ -34,8 +34,7 @@ class Observation(NamedTuple):
     r: float  # dependent: resource measure
 
 
-@dataclass(frozen=True, init=False)
-class Dataset:
+class Dataset(namedtuple("Dataset", "ws rs")):
     """Ordered observations, indexed 1..n for reporting.
 
     Held as two float columns of equal length, `ws` (predictor) and `rs`
@@ -47,16 +46,14 @@ class Dataset:
     agree with comparing the observations.
     """
 
-    ws: tuple[float, ...]
-    rs: tuple[float, ...]
+    __slots__ = ()
 
-    def __init__(self, observations: Iterable[tuple[float, float]]) -> None:
+    def __new__(cls, observations: Iterable[tuple[float, float]]) -> "Dataset":
         obs = tuple(Observation(float(w), float(r)) for w, r in observations)
         for o in obs:
             if not (isfinite(o.w) and isfinite(o.r)):
                 raise ValueError(f"non-finite observation: {o}")
-        object.__setattr__(self, "ws", tuple(o.w for o in obs))
-        object.__setattr__(self, "rs", tuple(o.r for o in obs))
+        return tuple.__new__(cls, (tuple(o.w for o in obs), tuple(o.r for o in obs)))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "Dataset":
@@ -65,10 +62,7 @@ class Dataset:
     @classmethod
     def _trusted(cls, ws: tuple[float, ...], rs: tuple[float, ...]) -> "Dataset":
         """Wrap equal-length columns of finite floats without checking them."""
-        data = object.__new__(cls)
-        object.__setattr__(data, "ws", ws)
-        object.__setattr__(data, "rs", rs)
-        return data
+        return tuple.__new__(cls, (ws, rs))
 
     @property
     def observations(self) -> tuple[Observation, ...]:
@@ -79,8 +73,7 @@ class Dataset:
         return len(self.ws)
 
 
-@dataclass(frozen=True)
-class RegressionModel:
+class RegressionModel(NamedTuple):
     """Estimated line r = mu0_hat + mu1_hat * w with fit diagnostics.
 
     sigma2_hat is the residual variance estimate ssr/(n-2), present only

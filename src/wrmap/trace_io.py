@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, NoReturn, Optional, Union
+from typing import Iterable, NamedTuple, NoReturn, Optional, Union
 
 from . import core
 from .core import AllocationState, Report, check_token
@@ -135,8 +134,7 @@ def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset
     }
 
 
-@dataclass(frozen=True)
-class ReplayCommand:
+class ReplayCommand(NamedTuple):
     line: int
     op: str  # INIT | ADD | FIND | MAP
     args: tuple[str, ...] = ()
@@ -195,8 +193,7 @@ def run_replay(
             state, report, payload = core.init(), Report.OK, None
         else:
             # Looked up on each call, so wrappers placed on `core` see it.
-            outcome = getattr(core, _CORE_OP[cmd.op])(state, *cmd.args)
-            state, report, payload = outcome.state, outcome.report, outcome.payload
+            state, report, payload = getattr(core, _CORE_OP[cmd.op])(state, *cmd.args)
         text = f"{cmd.line} {report.value}"
         if isinstance(payload, str):
             text += f" {payload}"

@@ -174,12 +174,6 @@ def test_assign_tie_break_lexicographic():
     assert result.marks == {(0, 0), (1, 1), (2, 2)}
 
 
-def test_assign_non_square_rejected_without_padding():
-    costs = CostMatrix(("R1", "R2"), ("W1",), ((1.0,), (2.0,)))
-    with pytest.raises(matcher.NonSquare):
-        matcher.assign(costs, pad=False)
-
-
 def test_assign_rectangular_padding():
     costs = CostMatrix(("R1", "R2", "R3"), ("W1",), ((5.0,), (1.0,), (3.0,)))
     result = matcher.assign(costs)

@@ -1,0 +1,57 @@
+"""The package's value types: read-only fields and validating constructors."""
+
+import math
+
+import pytest
+
+from wrmap.core import AllocationState, OpOutcome, Report
+from wrmap.matcher import AssignmentMatrix, CostMatrix
+from wrmap.regression import Dataset, RegressionModel
+from wrmap.trace_io import ReplayCommand
+
+COSTS = CostMatrix(("R1", "R2"), ("W1",), ((1.0,), (2.0,)))
+
+# One value of each type, with the attributes its users read.
+VALUES = [
+    (AllocationState([("R1", "W1")]), ["pairs", "allocation", "available_resources"]),
+    (OpOutcome(AllocationState(), Report.OK), ["state", "report", "payload"]),
+    (Dataset([(1, 2), (2, 3)]), ["ws", "rs"]),
+    (
+        RegressionModel(0.0, 1.0, 0.0, 2),
+        ["mu0_hat", "mu1_hat", "ssr", "n", "sigma2_hat"],
+    ),
+    (ReplayCommand(1, "INIT"), ["line", "op", "args", "expect"]),
+    (COSTS, ["resources", "workloads", "cost"]),
+    (
+        AssignmentMatrix(("R1", "R2"), ("W1",), frozenset({(0, 0)}), COSTS),
+        ["resources", "workloads", "marks", "cost"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, fields", VALUES, ids=[type(value).__name__ for value, _ in VALUES]
+)
+def test_fields_are_read_only(value, fields):
+    for field in fields + ["not_a_field"]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+@pytest.mark.parametrize(
+    "resources, workloads, cost, message",
+    [
+        (("R2", "R1"), ("W1",), ((1.0,), (2.0,)), "resources must be in lexicographic"),
+        (("R1",), ("W2", "W1"), ((1.0, 2.0),), "workloads must be in lexicographic"),
+        (("R1", "R2"), ("W1",), ((1.0,),), "row count"),
+        (("R1", "R2"), ("W1",), ((1.0,), (2.0,), (3.0,)), "row count"),
+        (("R1",), ("W1", "W2"), ((1.0,),), "column count"),
+        (("R1",), ("W1", "W2"), ((1.0, 2.0, 3.0),), "column count"),
+        (("R1",), ("W1", "W2"), ((1.0, math.nan),), "finite"),
+        (("R1",), ("W1", "W2"), ((-math.inf, 1.0),), "finite"),
+    ],
+)
+def test_cost_matrix_rejects_malformed_input(resources, workloads, cost, message):
+    with pytest.raises(ValueError, match=message):
+        CostMatrix(resources, workloads, cost)
+
