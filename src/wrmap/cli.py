@@ -11,6 +11,7 @@ Every subcommand runs on the standard library alone.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from math import isfinite
 from typing import Optional, Sequence
@@ -43,6 +44,12 @@ def _fmt(value: float, precision: str) -> str:
     return f"{value:.6g}"
 
 
+def _csv_row(precision: str, *fields) -> str:
+    """One table row: floats through `_fmt` at the precision, the rest as text."""
+    cells = (_fmt(f, precision) if isinstance(f, float) else str(f) for f in fields)
+    return ",".join(cells)
+
+
 def _read_file(path: str) -> bytes:
     """The file's bytes, as written: the parsers decode UTF-8 and see every
     line ending, so a CRLF or invalid UTF-8 is reported as a parse error."""
@@ -61,15 +68,10 @@ def _write_file(path: str, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_pair(text: str) -> tuple[str, str]:
-    parts = text.split(":")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise _UsageError(f"--pair must look like RESOURCE:WORKLOAD, got {text!r}")
-    return parts[0], parts[1]
-
-
 def _known_pair(datasets, text: str) -> tuple[str, str]:
-    pair = _parse_pair(text)
+    pair = tuple(text.split(":"))
+    if len(pair) != 2 or not pair[0] or not pair[1]:
+        raise _UsageError(f"--pair must look like RESOURCE:WORKLOAD, got {text!r}")
     if pair not in datasets:
         raise _DomainError(f"unknown pair {pair[0]}:{pair[1]}")
     return pair
@@ -102,18 +104,15 @@ def cmd_fit(args) -> int:
     for pair in pairs:
         model = models[pair]
         try:
-            r2 = _fmt(regression.goodness_of_fit(model, datasets[pair]), args.precision)
+            r2 = regression.goodness_of_fit(model, datasets[pair])
         except regression.ConstantResponse:
             r2 = ""
         except regression.NumericOverflow as exc:
             raise regression.NumericOverflow(
                 f"numeric overflow in R-squared for {pair[0]}:{pair[1]}"
             ) from exc
-        lines.append(
-            f"{pair[0]},{pair[1]},{_fmt(model.mu0_hat, args.precision)},"
-            f"{_fmt(model.mu1_hat, args.precision)},{_fmt(model.ssr, args.precision)},"
-            f"{r2},{model.n}"
-        )
+        fields = (model.mu0_hat, model.mu1_hat, model.ssr, r2, model.n)
+        lines.append(_csv_row(args.precision, *pair, *fields))
     print("\n".join(lines))
     return 0
 
@@ -124,12 +123,10 @@ def cmd_residuals(args) -> int:
     data = datasets[pair]
     model = _fit_all(datasets, [pair])[pair]
     print("a,w,r,fitted,residual")
-    for a, (w, r) in enumerate(zip(data.ws, data.rs), start=1):
+    rows = zip(data.ws, data.rs, regression.residuals(model, data))
+    for a, (w, r, residual) in enumerate(rows, start=1):
         fitted = regression.predict(model, w)
-        print(
-            f"{a},{_fmt(w, args.precision)},{_fmt(r, args.precision)},"
-            f"{_fmt(fitted, args.precision)},{_fmt(r - fitted, args.precision)}"
-        )
+        print(_csv_row(args.precision, a, w, r, fitted, residual))
     return 0
 
 
@@ -162,9 +159,20 @@ def _parse_names(text: str, flag: str) -> list[str]:
     return names
 
 
+def _demand(text: str) -> float:
+    """The `--at` value: a finite number, spelled as in the observations CSV."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is not None and not isfinite(value):
+        raise _UsageError(f"--at must be a finite number, got {value}")
+    if value is None or re.fullmatch(trace_io._NUMBER, text) is None:
+        raise _UsageError(f"argument --at: invalid float value: {text!r}")
+    return value
+
+
 def cmd_allocate(args) -> int:
-    if not isfinite(args.at):
-        raise _UsageError(f"--at must be a finite number, got {args.at}")
     datasets = trace_io.parse_observations(_read_file(args.input))
     resources = _parse_names(args.resources, "--resources")
     workloads = _parse_names(args.workloads, "--workloads")
@@ -191,8 +199,7 @@ def cmd_replay(args) -> int:
     except trace_io.ExpectationFailed as exc:
         for line in exc.report_lines:
             print(line)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _DomainError(exc) from exc
     if args.snapshot_out:
         _write_file(args.snapshot_out, trace_io.write_state(state))
     for line in lines:
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     alloc = sub.add_parser("allocate", help="optimal workload-resource matching")
     alloc.add_argument("--input", required=True, help="observations CSV")
-    alloc.add_argument("--at", required=True, type=float, help="demand level")
+    alloc.add_argument("--at", required=True, type=_demand, help="demand level")
     alloc.add_argument("--resources", required=True, help="comma-separated names")
     alloc.add_argument("--workloads", required=True, help="comma-separated names")
     alloc.add_argument("--snapshot", help="write resulting state snapshot here")
@@ -239,13 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
     except (_UsageError, trace_io.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,9 @@ returns the input state unchanged, so callers can check "error preserves
 state" by plain structural equality. An outcome is a named tuple
 (state, report, payload), so callers may unpack it.
 
+Resource and workload names are tokens, defined once by `TOKEN`: both
+`check_token` and the observations row pattern in `trace_io` match it.
+
 Cost model: a state is a `__slots__` object holding one resource ->
 workload dict, validated once when built from outside pairs. `add` checks
 only its two new tokens and sets a copy of the dict, with one more entry,
@@ -18,6 +21,7 @@ on a fresh empty state (copy on write: n adds cost O(n^2), at C speed);
 from __future__ import annotations
 
 import enum
+import re
 from typing import Iterable, NamedTuple, Union
 
 
@@ -30,17 +34,21 @@ class Report(enum.Enum):
         return self.value
 
 
+# One or more characters, none of them a comma or Unicode whitespace.
+TOKEN = r"[^,\s]+"
+_token_match = re.compile(TOKEN).fullmatch
+
+
 def check_token(value: str) -> str:
-    """Validate a resource/workload identifier.
+    """Validate a resource/workload identifier against `TOKEN`.
 
     Tokens must be non-empty and free of whitespace and commas so that the
     CSV and replay formats never need quoting.
     """
     if not isinstance(value, str) or not value:
         raise ValueError("token must be a non-empty string")
-    for ch in value:
-        if ch.isspace() or ch == ",":
-            raise ValueError(f"token may not contain whitespace or commas: {value!r}")
+    if _token_match(value) is None:
+        raise ValueError(f"token may not contain whitespace or commas: {value!r}")
     return value
 
 

@@ -54,9 +54,8 @@ class UnknownLabel(MatcherError):
 class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
     """Rectangular grid of predicted costs, rows=resources, cols=workloads.
 
-    Orders are lexicographic by id; all entries finite. The constructor
-    checks both; `_trusted` skips the checks for a caller that has made
-    them already (`build_cost_matrix`).
+    Orders are lexicographic by id; all entries finite. The one
+    constructor checks both, for `build_cost_matrix` as for any caller.
     """
 
     __slots__ = ()
@@ -76,19 +75,8 @@ class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
         for row in cost:
             if len(row) != len(workloads):
                 raise ValueError("cost column count must match workloads")
-            for value in row:
-                if not isfinite(value):
-                    raise ValueError("cost entries must be finite")
-        return tuple.__new__(cls, (resources, workloads, cost))
-
-    @classmethod
-    def _trusted(
-        cls,
-        resources: tuple[str, ...],
-        workloads: tuple[str, ...],
-        cost: tuple[tuple[float, ...], ...],
-    ) -> "CostMatrix":
-        """Wrap sorted names and a full grid of finite costs without checking."""
+            if not all(map(isfinite, row)):
+                raise ValueError("cost entries must be finite")
         return tuple.__new__(cls, (resources, workloads, cost))
 
 
@@ -114,9 +102,10 @@ class AssignmentMatrix(namedtuple("AssignmentMatrix", "resources workloads marks
         return tuple.__new__(cls, (resources, workloads, marks, cost))
 
     def total_cost(self) -> float:
+        """Sum of the marked costs, correctly rounded whatever the marks' order."""
         if self.cost is None:
             raise ValueError("no cost matrix attached")
-        return float(sum(self.cost.cost[i][j] for i, j in self.marks))
+        return fsum(self.cost.cost[i][j] for i, j in self.marks)
 
 
 def build_cost_matrix(
@@ -128,7 +117,7 @@ def build_cost_matrix(
     """Predicted cost of each workload on each resource at demand level w_query.
 
     Every (resource, workload) pair must have a fitted model whose
-    prediction is finite.
+    prediction is finite; the check here names the pair that fails it.
     """
     res = tuple(sorted(check_token(r) for r in resources))
     wls = tuple(sorted(check_token(w) for w in workloads))
@@ -146,7 +135,7 @@ def build_cost_matrix(
                 raise NonFiniteCost(r, w, cost)
             row.append(cost)
         rows.append(tuple(row))
-    return CostMatrix._trusted(res, wls, tuple(rows))
+    return CostMatrix(res, wls, tuple(rows))
 
 
 def linear_sum_assignment(

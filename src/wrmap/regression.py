@@ -1,9 +1,11 @@
 """Simple linear regression by ordinary least squares.
 
 Closed-form estimation of intercept and slope for one predictor, plus
-residuals, the sum of squared residuals, and R-squared. Sums are computed
-with compensated summation (math.fsum) so results are deterministic across
-platforms.
+residuals, the sum of squared residuals, and R-squared. Results are the
+same bits on every IEEE 754 platform: each square is `x * x`, correctly
+rounded (a power goes through the C library's `pow`, which need not be),
+each sum is the correctly rounded `math.fsum`, and `fit` reports the SSR
+that `ssr` computes, from the one definition of the residuals.
 """
 
 from __future__ import annotations
@@ -96,12 +98,20 @@ class NumericOverflow(RegressionError):
 _SINGULAR_TOL = 1e-12
 
 
+def _residuals(mu0: float, mu1: float, ws: tuple, rs: tuple) -> list[float]:
+    return [r - (mu0 + mu1 * w) for w, r in zip(ws, rs)]
+
+
+def _sum_of_squares(values: list[float]) -> float:
+    return fsum([x * x for x in values])
+
+
 def fit(data: Dataset) -> RegressionModel:
     """Estimate intercept and slope by minimizing the sum of squared residuals.
 
-    Two passes: the means, then the centered sums
-    slope = sum((w - w_bar) * (r - r_bar)) / sum((w - w_bar) ** 2), which
-    lose no precision to an offset in w or r (Chan, Golub and LeVeque
+    Two passes: the means, then the centered sums in
+    slope = sum((w - w_bar) * (r - r_bar)) / sum((w - w_bar) * (w - w_bar)),
+    which lose no precision to an offset in w or r (Chan, Golub and LeVeque
     1983). Raises InsufficientData for n < 2, SingularDesign when the
     predictor values coincide to within 1e-12 of their largest magnitude
     (or their squared spread underflows to 0), and NumericOverflow when an
@@ -117,7 +127,7 @@ def fit(data: Dataset) -> RegressionModel:
         w_bar = fsum(ws) / n
         r_bar = fsum(rs) / n
         dws = [w - w_bar for w in ws]
-        sxx = fsum([d * d for d in dws])
+        sxx = _sum_of_squares(dws)
         sxy = fsum([d * (r - r_bar) for d, r in zip(dws, rs)])
         if not (isfinite(sxx) and isfinite(sxy)):
             raise OverflowError
@@ -126,7 +136,7 @@ def fit(data: Dataset) -> RegressionModel:
             raise SingularDesign("all predictor values are (nearly) equal")
         mu1 = sxy / sxx
         mu0 = r_bar - mu1 * w_bar
-        ssr_value = fsum([(r - (mu0 + mu1 * w)) ** 2 for w, r in zip(ws, rs)])
+        ssr_value = _sum_of_squares(_residuals(mu0, mu1, ws, rs))
         if not (isfinite(mu1) and isfinite(mu0) and isfinite(ssr_value)):
             raise OverflowError
     except (OverflowError, ValueError) as exc:
@@ -144,12 +154,12 @@ def predict(model: RegressionModel, w: float) -> float:
 
 def residuals(model: RegressionModel, data: Dataset) -> list[float]:
     """Observed minus fitted, in dataset order."""
-    return [r - (model.mu0_hat + model.mu1_hat * w) for w, r in zip(data.ws, data.rs)]
+    return _residuals(model.mu0_hat, model.mu1_hat, data.ws, data.rs)
 
 
 def ssr(model: RegressionModel, data: Dataset) -> float:
     """Sum of squared residuals of the model on the data."""
-    return fsum(e * e for e in residuals(model, data))
+    return _sum_of_squares(residuals(model, data))
 
 
 def goodness_of_fit(model: RegressionModel, data: Dataset) -> float:
@@ -160,7 +170,7 @@ def goodness_of_fit(model: RegressionModel, data: Dataset) -> float:
     """
     try:
         r_bar = fsum(data.rs) / data.n
-        sst = fsum([(r - r_bar) ** 2 for r in data.rs])
+        sst = _sum_of_squares([r - r_bar for r in data.rs])
         ssr_value = ssr(model, data)
     except (OverflowError, ValueError) as exc:
         raise NumericOverflow("a sum of squares is not finite") from exc

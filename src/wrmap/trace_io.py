@@ -5,13 +5,14 @@ lexicographically sorted keys and payload sets, shortest round-trip decimal
 numbers. Parsing is fail-fast: the first malformed line aborts with its
 line number.
 
-An observations line is `resource,workload,w,r`. A token is what
-`core.check_token` accepts (non-empty, no whitespace, no comma); a number
-is ASCII decimal with an optional sign, fraction and exponent, and must be
-finite as a float (no `_`, spaces, `nan`/`inf`, hex or CR). The parser
-matches each line once against one pattern and appends its two numbers
-to the pair's `w` and `r` float columns, which become `Dataset`s through
-the trusted constructor: every value there is already checked.
+An observations line is `resource,workload,w,r`. A token matches
+`core.TOKEN`, the pattern of `check_token` (non-empty, no whitespace, no
+comma); a number is ASCII decimal with an optional sign, fraction and
+exponent, and must be finite as a float (no `_`, spaces, `nan`/`inf`, hex
+or CR). The parser matches each line once against one pattern and appends
+its two numbers to the pair's `w` and `r` float columns, which become
+`Dataset`s through the trusted constructor: every value there is already
+checked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import isfinite
 from typing import Iterable, NamedTuple, NoReturn, Optional, Union
 
 from . import core
-from .core import AllocationState, Report, check_token
+from .core import TOKEN, AllocationState, Report, check_token
 from .regression import Dataset
 
 OBSERVATIONS_HEADER = "resource,workload,w,r"
@@ -77,10 +78,9 @@ def _check_tokens(line: int, tokens: Iterable[str]) -> None:
 # A number is ASCII decimal: optional sign, digits with an optional
 # fraction (or a bare fraction), optional exponent. Each repetition is
 # followed only by characters it cannot match, so a failed match
-# backtracks in linear time. A token is what `check_token` accepts: `\s`
-# matches exactly the characters for which `str.isspace` is true.
+# backtracks in linear time. The CLI parses `allocate --at` with it too.
 _NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_ROW = re.compile(rf"([^,\s]+),([^,\s]+),({_NUMBER}),({_NUMBER})")
+_ROW = re.compile(rf"({TOKEN}),({TOKEN}),({_NUMBER}),({_NUMBER})")
 
 
 def _reject_row(line: int, text: str) -> NoReturn:
@@ -176,17 +176,13 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
     return commands
 
 
-def run_replay(
-    commands: list[ReplayCommand],
-    state: Optional[AllocationState] = None,
-) -> tuple[AllocationState, list[str]]:
-    """Execute replay commands in order against the state machine.
+def run_replay(commands: list[ReplayCommand]) -> tuple[AllocationState, list[str]]:
+    """Execute replay commands in order, starting from the initial state.
 
     Each command yields one report line `<lineNo> <REPORT> [payload]` with
     set payloads rendered in sorted order. An EXPECT mismatch stops the run.
     """
-    if state is None:
-        state = core.init()
+    state = core.init()
     lines: list[str] = []
     for cmd in commands:
         if cmd.op == "INIT":

@@ -222,6 +222,18 @@ class TestAllocate:
         assert out == ""
         assert_one_line_usage_error(code, err)
 
+    # float() reads these, but they are outside the number grammar of the
+    # observations CSV, which `--at` follows.
+    @pytest.mark.parametrize("at", ["1_0", " 5 ", "١"])
+    def test_demand_outside_number_grammar(self, capsys, at):
+        code, out, err = run(
+            capsys,
+            "allocate", "--input", REFERENCE7, f"--at={at}",
+            "--resources", "R1", "--workloads", "W1",
+        )
+        assert out == ""
+        assert_one_line_usage_error(code, err)
+
     def test_unwritable_snapshot(self, capsys, tmp_path):
         for path in unwritable_paths(tmp_path):
             code, out, err = run(

@@ -149,6 +149,15 @@ def test_assign_diagonal():
     assert result.total_cost() == 0
 
 
+def test_total_cost_is_correctly_rounded():
+    # Added left to right in the marks' iteration order, 1e16 + 1.0 can
+    # round the 1.0 away; the correctly rounded total is exactly 1.0.
+    costs = costs_of([[1e16, 0, 0], [0, 1.0, 0], [0, 0, -1e16]])
+    marks = frozenset({(0, 0), (1, 1), (2, 2)})
+    result = AssignmentMatrix(costs.resources, costs.workloads, marks, costs)
+    assert result.total_cost() == 1.0
+
+
 def test_assign_reference_seven_by_seven():
     grid = [
         [0.0 if (i, j) in REFERENCE_MARKS else 1.0 for j in range(7)]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -168,6 +169,28 @@ def test_residuals_single_point_definition():
 def test_ssr_three_points():
     model = regression.fit(THREE_POINTS)
     assert regression.ssr(model, THREE_POINTS) == pytest.approx(1 / 6, rel=1e-12)
+
+
+def test_fit_ssr_is_the_ssr_of_its_model():
+    # Squaring with `** 2` (the C library's pow) rounds 123008.00000000001
+    # down to 123008.0 on these rows, while `ssr` squares with `*`.
+    data = Dataset.from_pairs([(32, 1096), (34, 1525), (32, 1592)])
+    model = regression.fit(data)
+    assert model.ssr == regression.ssr(model, data)
+
+
+def test_fit_ssr_is_the_ssr_of_its_model_random():
+    rng = random.Random(0)
+    for _ in range(2000):
+        n = rng.randint(3, 12)
+        data = Dataset.from_pairs(
+            (rng.randint(30, 40), rng.randint(1000, 2000)) for _ in range(n)
+        )
+        try:
+            model = regression.fit(data)
+        except regression.SingularDesign:
+            continue
+        assert model.ssr == regression.ssr(model, data), data
 
 
 def test_goodness_of_fit():

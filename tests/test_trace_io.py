@@ -118,18 +118,20 @@ class TestParseObservations:
         assert "whitespace" in err.value.reason
 
     def test_token_class_agrees_with_check_token(self):
-        # The row pattern's token class [^,\s] must accept exactly the
-        # one-character tokens check_token accepts, on every code point.
+        # Both check_token and the row pattern must accept a one-character
+        # token exactly when the spec does: unless it is whitespace
+        # (str.isspace) or a comma, on every code point.
         disagree = []
         for code in range(sys.maxunicode + 1):
             ch = chr(code)
+            spec = not (ch.isspace() or ch == ",")
             try:
                 check_token(ch)
-                valid = True
+                checked = True
             except ValueError:
-                valid = False
+                checked = False
             matched = trace_io._ROW.fullmatch(f"{ch},W,1,2") is not None
-            if matched != valid:
+            if not checked == matched == spec:
                 disagree.append(hex(code))
         assert disagree == []
 
