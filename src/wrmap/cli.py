@@ -197,14 +197,17 @@ def cmd_replay(args) -> int:
     try:
         state, lines = trace_io.run_replay(commands)
     except trace_io.ExpectationFailed as exc:
-        for line in exc.report_lines:
-            print(line)
+        sys.stdout.write(_transcript(exc.report_lines))
         raise _DomainError(exc) from exc
     if args.snapshot_out:
         _write_file(args.snapshot_out, trace_io.write_state(state))
-    for line in lines:
-        print(line)
+    sys.stdout.write(_transcript(lines))
     return 0
+
+
+def _transcript(lines: Sequence[str]) -> str:
+    """The report lines, each LF-terminated, for one write ("" if none)."""
+    return "".join(f"{line}\n" for line in lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,10 +12,13 @@ Resource and workload names are tokens, defined once by `TOKEN`: both
 `check_token` and the observations row pattern in `trace_io` match it.
 
 Cost model: a state is a `__slots__` object holding one resource ->
-workload dict, validated once when built from outside pairs. `add` checks
-only its two new tokens and sets a copy of the dict, with one more entry,
-on a fresh empty state (copy on write: n adds cost O(n^2), at C speed);
-`find` is one dict lookup; `map_query` is a scan. `pairs` sorts on demand.
+workload dict, validated once when built from outside pairs, and an index
+derived from it that maps each workload to the frozenset of its resources.
+`add` checks only its two new tokens, then copies the dict with one more
+entry and the index, which has at most W entries (one per workload), with
+one entry replaced by a union (copy on write: n adds cost O(n^2), at C
+speed); `find` and `map_query` are one dict lookup each. `pairs` sorts on
+demand.
 """
 
 from __future__ import annotations
@@ -58,9 +61,14 @@ class AllocationState:
     Resources are unique (the allocation is a function); several resources
     may carry the same workload. Equality, hashing and `pairs` do not depend
     on the order in which the pairs were given.
+
+    Beside the allocation dict the state keeps `_resources_of`, the inverse
+    index workload -> frozenset of resources. It is derived from the dict,
+    so equality, hashing, `pairs`, `allocation` and `available_resources`
+    read only the dict and ignore it.
     """
 
-    __slots__ = ("_allocation",)
+    __slots__ = ("_allocation", "_resources_of")
 
     def __init__(self, pairs: Iterable[tuple[str, str]] = ()) -> None:
         allocation: dict[str, str] = {}
@@ -70,7 +78,11 @@ class AllocationState:
             if resource in allocation:
                 raise ValueError(f"duplicate resource in allocation: {resource!r}")
             allocation[resource] = workload
+        groups: dict[str, list[str]] = {}
+        for resource, workload in allocation.items():
+            groups.setdefault(workload, []).append(resource)
         self._allocation = allocation
+        self._resources_of = {w: frozenset(rs) for w, rs in groups.items()}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -123,10 +135,13 @@ def add(state: AllocationState, resource: str, workload: str) -> OpOutcome:
     check_token(workload)
     if resource in state._allocation:
         return OpOutcome(state, Report.ALREADY_MAPPED)
-    # Only the two new tokens need checking, so the grown dict goes onto an
-    # empty state directly instead of through the validating constructor.
-    grown = AllocationState()
+    # Only the two new tokens need checking, so the grown dict and index go
+    # onto a bare state directly instead of through the validating constructor.
+    grown = AllocationState.__new__(AllocationState)
     grown._allocation = {**state._allocation, resource: workload}
+    index = state._resources_of.copy()
+    index[workload] = index.get(workload, frozenset()).union((resource,))
+    grown._resources_of = index
     return OpOutcome(grown, Report.OK)
 
 
@@ -148,10 +163,7 @@ def map_query(state: AllocationState, rank: str) -> OpOutcome:
     Total: an unknown workload yields the empty set with OK.
     """
     check_token(rank)
-    matched = frozenset(
-        resource for resource, workload in state._allocation.items() if workload == rank
-    )
-    return OpOutcome(state, Report.OK, matched)
+    return OpOutcome(state, Report.OK, state._resources_of.get(rank, frozenset()))
 
 
 def available(state: AllocationState) -> frozenset[str]:

@@ -340,6 +340,38 @@ class TestReplay:
         assert "expectation failed at line 3" in err
         assert out.splitlines() == ["1 OK", "2 OK", "3 AlreadyMapped"]
 
+    def test_comments_and_blank_lines_only(self, capsys, tmp_path):
+        script = tmp_path / "empty.replay"
+        script.write_text("# nothing to run\n\n   \n# still nothing\n")
+        assert run(capsys, "replay", "--script", str(script)) == (0, "", "")
+
+    # Script lines, numbered from 1, and the transcript they give.
+    MIXED = [
+        "# header", "INIT", "ADD R1 W1", "", "ADD R2 W1", "MAP W1",
+        "# comment", "FIND R9", "ADD R1 W2", "FIND R1",
+    ]
+    MIXED_OUT = {
+        2: "2 OK", 3: "3 OK", 5: "5 OK", 6: "6 OK R1,R2",
+        8: "8 NotMapped", 9: "9 AlreadyMapped", 10: "10 OK W1",
+    }
+
+    @pytest.mark.parametrize("k", [3, 6, 8, 9, 10])
+    def test_expectation_failure_stops_at_its_line(self, capsys, tmp_path, k):
+        actual = self.MIXED_OUT[k].split()[1]
+        expected = "NotMapped" if actual == "OK" else "OK"
+        lines = list(self.MIXED)
+        lines[k - 1] += f" EXPECT {expected}"
+        script = tmp_path / "stop.replay"
+        script.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "replay", "--script", str(script))
+        assert code == 1
+        assert out == "".join(
+            f"{text}\n" for line, text in self.MIXED_OUT.items() if line <= k
+        )
+        assert err == (
+            f"error: expectation failed at line {k}: expected {expected}, got {actual}\n"
+        )
+
     def test_parse_error(self, capsys, tmp_path):
         script = tmp_path / "bad.replay"
         script.write_text("INIT\nDROP Res1\n")

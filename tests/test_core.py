@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from wrmap import core, trace_io
+from wrmap import core, matcher, trace_io
 from wrmap.core import AllocationState, Report
 
 
@@ -133,6 +133,11 @@ def run_step(state, step):
     return core.map_query(state, step[1])
 
 
+def scan(model, workload):
+    """MAP by a scan of every pair of a plain dict."""
+    return frozenset(r for r, w in model.items() if w == workload)
+
+
 def model_step(model, step):
     """The same step on a plain dict, the reference for the state machine."""
     if step[0] == "add":
@@ -144,7 +149,7 @@ def model_step(model, step):
         if step[1] not in model:
             return Report.NOT_MAPPED, None
         return Report.OK, model[step[1]]
-    return Report.OK, frozenset(r for r, w in model.items() if w == step[1])
+    return Report.OK, scan(model, step[1])
 
 
 @given(steps)
@@ -236,3 +241,53 @@ def test_report_totality(sequence):
         else:
             assert outcome.report is Report.OK
         state = outcome.state
+
+
+@given(
+    st.dictionaries(st.sampled_from(RESOURCES), st.sampled_from(WORKLOADS), max_size=20),
+    steps,
+)
+def test_index_agrees_with_scan_however_the_state_is_built(allocation, sequence):
+    # The workload -> resources index behind map_query is built by the
+    # constructor (directly, from a snapshot, from a mark matrix) and grown
+    # by add; every state met on the way must answer MAP as the scan does,
+    # also after later adds on states derived from it.
+    built = AllocationState(allocation.items())
+    one_per_workload = {w: r for r, w in allocation.items()}
+    marks = frozenset(
+        (RESOURCES.index(r), WORKLOADS.index(w)) for w, r in one_per_workload.items()
+    )
+    bases = [
+        built,
+        trace_io.read_state(trace_io.write_state(built)),
+        matcher.matrix_to_state(
+            matcher.AssignmentMatrix(tuple(RESOURCES), tuple(WORKLOADS), marks)
+        ),
+    ]
+    states = list(bases)
+    for state in bases:
+        for step in sequence:
+            state = run_step(state, step).state
+            states.append(state)
+        states.append(trace_io.read_state(trace_io.write_state(state)))
+    for state in states:
+        model = state.allocation
+        for workload in WORKLOADS + ["W99"]:
+            assert core.map_query(state, workload).payload == scan(model, workload)
+
+
+def test_rejected_add_returns_the_same_state():
+    state = build_example_state()
+    index = state._resources_of
+    before = dict(index)
+    outcome = core.add(state, "Res1", "Cloudworkload2")
+    assert outcome.report is Report.ALREADY_MAPPED
+    assert outcome.state is state
+    assert state._resources_of is index
+    assert index == before
+    assert core.map_query(state, "Cloudworkload2").payload == {"Res2"}
+
+
+def test_state_has_no_instance_dict():
+    for state in (AllocationState([("R1", "W1")]), build_example_state()):
+        assert not hasattr(state, "__dict__")
