@@ -1,9 +1,10 @@
 """Command-line front end: fit, residuals, allocate, replay.
 
 Exit codes: 0 success, 1 domain error (singular fit, failed expectation,
-missing model, ...), 2 usage or parse error. Errors go to stderr only;
-stdout carries just the tables and transcripts, byte-deterministic for
-identical inputs.
+missing model, ...), 2 usage or parse error, or stdout that cannot be
+written. Errors go to stderr only, one line each; stdout carries just the
+tables and transcripts, byte-deterministic for identical inputs, each
+built whole and then written by `_emit`.
 
 Every subcommand runs on the standard library alone.
 """
@@ -11,6 +12,8 @@ Every subcommand runs on the standard library alone.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import re
 import sys
 from math import isfinite
@@ -30,10 +33,15 @@ class _DomainError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a _UsageError, not a usage block."""
+    """Reports a bad command line as a _UsageError, not a usage block, and
+    writes `--help` like any other output (argparse would drop a failed
+    write of it)."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        _emit(self.format_help())
 
 
 def _fmt(value: float, precision: str) -> str:
@@ -113,7 +121,7 @@ def cmd_fit(args) -> int:
             ) from exc
         fields = (model.mu0_hat, model.mu1_hat, model.ssr, r2, model.n)
         lines.append(_csv_row(args.precision, *pair, *fields))
-    print("\n".join(lines))
+    _emit(_transcript(lines))
     return 0
 
 
@@ -122,28 +130,29 @@ def cmd_residuals(args) -> int:
     pair = _known_pair(datasets, args.pair)
     data = datasets[pair]
     model = _fit_all(datasets, [pair])[pair]
-    print("a,w,r,fitted,residual")
+    lines = ["a,w,r,fitted,residual"]
     rows = zip(data.ws, data.rs, regression.residuals(model, data))
     for a, (w, r, residual) in enumerate(rows, start=1):
         fitted = regression.predict(model, w)
-        print(_csv_row(args.precision, a, w, r, fitted, residual))
+        lines.append(_csv_row(args.precision, a, w, r, fitted, residual))
+    _emit(_transcript(lines))
     return 0
 
 
 def render_assignment(m: matcher.AssignmentMatrix) -> str:
     """Check-mark table: header row of workloads, one labeled row per resource."""
     label_width = max((len(r) for r in m.resources), default=0)
-    widths = [len(w) for w in m.workloads]
-    marked = {i: j for i, j in m.marks}
+    blank = [" " * len(w) for w in m.workloads]
+    marked = dict(m.marks)
     lines = [
         (" " * label_width + "  " + "  ".join(m.workloads)).rstrip()
     ]
     for i, resource in enumerate(m.resources):
-        cells = []
-        for j, width in enumerate(widths):
-            cell = MARK if marked.get(i) == j else ""
-            cells.append(f"{cell:<{width}}")
-        lines.append((f"{resource:<{label_width}}" + "  " + "  ".join(cells)).rstrip())
+        # A row holds at most one mark; the blank cells after it are
+        # stripped with the row's trailing spaces, so they are not built.
+        j = marked.get(i)
+        cells = blank if j is None else blank[:j] + [MARK]
+        lines.append((resource.ljust(label_width) + "  " + "  ".join(cells)).rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -188,7 +197,7 @@ def cmd_allocate(args) -> int:
     if args.snapshot:
         state = matcher.matrix_to_state(assignment)
         _write_file(args.snapshot, trace_io.write_state(state))
-    sys.stdout.write(table)
+    _emit(table)
     return 0
 
 
@@ -197,17 +206,46 @@ def cmd_replay(args) -> int:
     try:
         state, lines = trace_io.run_replay(commands)
     except trace_io.ExpectationFailed as exc:
-        sys.stdout.write(_transcript(exc.report_lines))
+        _emit(_transcript(exc.report_lines))
         raise _DomainError(exc) from exc
     if args.snapshot_out:
         _write_file(args.snapshot_out, trace_io.write_state(state))
-    sys.stdout.write(_transcript(lines))
+    _emit(_transcript(lines))
     return 0
 
 
 def _transcript(lines: Sequence[str]) -> str:
-    """The report lines, each LF-terminated, for one write ("" if none)."""
+    """The lines, each LF-terminated, for one write ("" if none)."""
     return "".join(f"{line}\n" for line in lines)
+
+
+def _emit(text: str) -> None:
+    """Write a command's whole stdout and flush it.
+
+    A write that fails (a full device, a closed pipe) is a usage error.
+    Whatever the failed write left buffered then drains into `os.devnull`,
+    so the flush at interpreter exit cannot fail again and print a second
+    report.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    try:
+        if isinstance(raw, io.RawIOBase):
+            # Unbuffered stdout (`python -u`, PYTHONUNBUFFERED): the text
+            # layer drops what a short write leaves, so write the bytes
+            # until all of them are taken.
+            out.flush()
+            view = memoryview(text.encode(out.encoding, out.errors))
+            while view:
+                view = view[raw.write(view):]
+        else:
+            out.write(text)
+            out.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _UsageError(f"cannot write stdout: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import fsum, isfinite
+from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -103,7 +104,7 @@ def _residuals(mu0: float, mu1: float, ws: tuple, rs: tuple) -> list[float]:
 
 
 def _sum_of_squares(values: list[float]) -> float:
-    return fsum([x * x for x in values])
+    return fsum(map(mul, values, values))
 
 
 def fit(data: Dataset) -> RegressionModel:
@@ -118,17 +119,16 @@ def fit(data: Dataset) -> RegressionModel:
     intermediate is not finite. n = 2 interpolates exactly (ssr = 0, no
     variance estimate).
     """
-    n = data.n
+    ws, rs = data
+    n = len(ws)
     if n < 2:
         raise InsufficientData(f"need at least 2 observations, got {n}")
-    ws = data.ws
-    rs = data.rs
     try:
         w_bar = fsum(ws) / n
         r_bar = fsum(rs) / n
         dws = [w - w_bar for w in ws]
         sxx = _sum_of_squares(dws)
-        sxy = fsum([d * (r - r_bar) for d, r in zip(dws, rs)])
+        sxy = fsum(map(mul, dws, [r - r_bar for r in rs]))
         if not (isfinite(sxx) and isfinite(sxy)):
             raise OverflowError
         bound = _SINGULAR_TOL * max(map(abs, ws))
@@ -142,7 +142,7 @@ def fit(data: Dataset) -> RegressionModel:
     except (OverflowError, ValueError) as exc:
         raise NumericOverflow("an intermediate of the fit is not finite") from exc
     sigma2 = ssr_value / (n - 2) if n > 2 else None
-    return RegressionModel(mu0, mu1, ssr_value, n, sigma2)
+    return tuple.__new__(RegressionModel, (mu0, mu1, ssr_value, n, sigma2))
 
 
 def predict(model: RegressionModel, w: float) -> float:

@@ -9,10 +9,14 @@ An observations line is `resource,workload,w,r`. A token matches
 `core.TOKEN`, the pattern of `check_token` (non-empty, no whitespace, no
 comma); a number is ASCII decimal with an optional sign, fraction and
 exponent, and must be finite as a float (no `_`, spaces, `nan`/`inf`, hex
-or CR). The parser matches each line once against one pattern and appends
-its two numbers to the pair's `w` and `r` float columns, which become
-`Dataset`s through the trusted constructor: every value there is already
-checked.
+or CR). The parser validates before it builds: one pass of the row
+pattern over every data line, in C, then a Python loop that only splits
+each line at its last two commas and appends both number strings to the
+list of its `resource,workload` key, in first-appearance order. Each pair
+converts its list with one `float` map, checks it finite, and slices it
+into the `w` and `r` columns, which become `Dataset`s through the trusted
+constructor. When either check fails, `_raise_first_error` rescans the
+lines in order and reports the first bad one, whatever its fault.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def _check_tokens(line: int, tokens: Iterable[str]) -> None:
 # followed only by characters it cannot match, so a failed match
 # backtracks in linear time. The CLI parses `allocate --at` with it too.
 _NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_ROW = re.compile(rf"({TOKEN}),({TOKEN}),({_NUMBER}),({_NUMBER})")
+_ROW = re.compile(rf"{TOKEN},{TOKEN},{_NUMBER},{_NUMBER}")
 
 
 def _reject_row(line: int, text: str) -> NoReturn:
@@ -94,6 +98,20 @@ def _reject_row(line: int, text: str) -> NoReturn:
         raise ParseError(line, f"expected 4 columns, got {len(fields)}")
     _check_tokens(line, fields[:2])
     raise ParseError(line, "invalid number")
+
+
+def _raise_first_error(rows: list[str]) -> NoReturn:
+    """Raise the error of the first data row that fails a check.
+
+    A row fails when `_ROW` does not match it (see `_reject_row`) or when
+    a number it matches is not finite as a float (`1e999`).
+    """
+    for lineno, row in enumerate(rows, start=2):
+        if _ROW.fullmatch(row) is None:
+            _reject_row(lineno, row)
+        if not all(map(isfinite, map(float, row.rsplit(",", 2)[1:]))):
+            raise ParseError(lineno, "invalid number")
+    raise AssertionError("no row fails a check")
 
 
 def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset]:
@@ -112,26 +130,26 @@ def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset
         raise ParseError(1, "missing header")
     if lines[0] != OBSERVATIONS_HEADER:
         raise ParseError(1, f"header must be exactly {OBSERVATIONS_HEADER!r}")
-    match = _ROW.fullmatch
-    columns: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        row = match(line)
-        if row is None:
-            _reject_row(lineno, line)
-        resource, workload, w_text, r_text = row.groups()
-        w = float(w_text)
-        r = float(r_text)
-        if not (isfinite(w) and isfinite(r)):
-            raise ParseError(lineno, "invalid number")
-        pair = (resource, workload)
-        if pair not in columns:
-            columns[pair] = ([], [])
-        ws, rs = columns[pair]
-        ws.append(w)
-        rs.append(r)
-    return {
-        pair: Dataset._trusted(tuple(ws), tuple(rs)) for pair, (ws, rs) in columns.items()
-    }
+    rows = lines[1:]
+    if not all(map(_ROW.fullmatch, rows)):
+        _raise_first_error(rows)
+    # "resource,workload" -> its number strings, w and r interleaved.
+    numbers: dict[str, list[str]] = {}
+    get = numbers.get
+    for row in rows:
+        key, w, r = row.rsplit(",", 2)
+        column = get(key)
+        if column is None:
+            numbers[key] = column = []
+        column += w, r
+    datasets = {}
+    for key, column in numbers.items():
+        values = tuple(map(float, column))
+        if not all(map(isfinite, values)):
+            _raise_first_error(rows)
+        resource, workload = key.split(",")
+        datasets[resource, workload] = Dataset._trusted(values[0::2], values[1::2])
+    return datasets
 
 
 class ReplayCommand(NamedTuple):

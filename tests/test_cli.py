@@ -1,9 +1,16 @@
+import errno
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wrmap import trace_io
-from wrmap.cli import main
+from wrmap.cli import MARK, main, render_assignment
+from wrmap.matcher import AssignmentMatrix
 
 DATA = Path(__file__).parent / "data"
 OBSERVATIONS = str(DATA / "observations.csv")
@@ -413,3 +420,144 @@ def test_transcripts_deterministic(capsys):
         "--workloads", ",".join(f"W{j}" for j in range(1, 8)),
     ]
     assert run(capsys, *argv) == run(capsys, *argv)
+
+
+def reference_render_assignment(m):
+    """The check-mark table built cell by cell, each cell padded with an
+    f-string: the oracle for `render_assignment`."""
+    label_width = max((len(r) for r in m.resources), default=0)
+    marked = {i: j for i, j in m.marks}
+    lines = [(" " * label_width + "  " + "  ".join(m.workloads)).rstrip()]
+    for i, resource in enumerate(m.resources):
+        cells = []
+        for j, workload in enumerate(m.workloads):
+            cell = MARK if marked.get(i) == j else ""
+            cells.append(f"{cell:<{len(workload)}}")
+        lines.append((f"{resource:<{label_width}}" + "  " + "  ".join(cells)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+# Names from empty (narrower than the mark) to wider, ASCII or not.
+render_names = st.lists(
+    st.one_of(st.sampled_from(["", "R", "W1", "wé", "资源", "Cloudworkload3"]),
+              st.text(st.characters(blacklist_characters=",\n"), max_size=5)),
+    max_size=7,
+)
+
+
+@st.composite
+def assignment_matrices(draw):
+    resources = draw(render_names)
+    workloads = draw(render_names)
+    columns = draw(st.permutations(range(len(workloads))))
+    rows = draw(st.permutations(range(len(resources))))
+    k = draw(st.integers(0, min(len(rows), len(columns))))
+    return AssignmentMatrix(
+        tuple(resources), tuple(workloads), frozenset(zip(rows[:k], columns[:k]))
+    )
+
+
+@given(assignment_matrices())
+def test_render_assignment_matches_cell_by_cell_reference(m):
+    assert render_assignment(m) == reference_render_assignment(m)
+
+
+def test_render_assignment_edge_shapes():
+    for m in [
+        AssignmentMatrix((), (), frozenset()),
+        AssignmentMatrix(("R1",), (), frozenset()),
+        AssignmentMatrix((), ("W1",), frozenset()),
+        AssignmentMatrix(("R1", "资源"), ("", "W"), frozenset({(1, 0)})),
+        AssignmentMatrix(("a", "bb", "ccc"), ("Wide-workload", "w"), frozenset()),
+    ]:
+        assert render_assignment(m) == reference_render_assignment(m)
+
+
+def _cli(argv, unbuffered=False, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")] if p
+    )
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "wrmap.cli", *argv], env=env, **kwargs)
+
+
+def _subcommand_argv(name, snapshot=None):
+    """A short run of the subcommand, writing its snapshot if one is given."""
+    argv = {
+        "help": ["allocate", "--help"],
+        "fit": ["fit", "--input", OBSERVATIONS, "--all"],
+        "residuals": ["residuals", "--input", OBSERVATIONS, "--pair", "R1:W1"],
+        "allocate": ["allocate", "--input", REFERENCE7, "--at", "0.5",
+                     "--resources", "R1,R2,R3", "--workloads", "W1,W2,W3"],
+        "replay": ["replay", "--script", str(DATA / "example_build.replay")],
+    }[name]
+    flag = {"allocate": "--snapshot", "replay": "--snapshot-out"}.get(name)
+    if snapshot is not None and flag is not None:
+        argv += [flag, snapshot]
+    return argv
+
+
+SUBCOMMANDS = ["fit", "residuals", "allocate", "replay", "help"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_unwritable_stdout_is_one_line_error(tmp_path, name, unbuffered):
+    snapshot = tmp_path / "state.json"
+    with open("/dev/full", "w") as full:
+        proc = _cli(_subcommand_argv(name, str(snapshot)), unbuffered, stdout=full,
+                    stderr=subprocess.PIPE, text=True)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    # One line: no traceback, no "Exception ignored" from the flush at exit.
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert err == f"error: cannot write stdout: {reason}\n"
+    # The snapshot is written before stdout, so it survives the failure.
+    assert snapshot.exists() == (name in ("allocate", "replay"))
+
+
+def _limit_file_size():
+    """In the child: files it writes may grow to 20 bytes, and a write
+    past that fails with EFBIG instead of killing it with SIGXFSZ."""
+    import resource
+    import signal
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (20, 20))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_short_write_of_stdout_is_an_error(tmp_path, name, unbuffered):
+    # Every output is longer than 20 bytes: the first write takes 20 and
+    # the next one fails. Unbuffered, Python's text layer would drop the
+    # rest without a word.
+    out_path = tmp_path / "out"
+    with open(out_path, "w") as out:
+        proc = _cli(_subcommand_argv(name), unbuffered, stdout=out, stderr=subprocess.PIPE, text=True,
+                    preexec_fn=_limit_file_size)
+        _, err = proc.communicate(timeout=120)
+    assert out_path.stat().st_size == 20
+    assert proc.returncode == 2
+    reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert err == f"error: cannot write stdout: {reason}\n"
+
+
+@pytest.mark.skipif(shutil.which("head") is None, reason="no head(1)")
+def test_replay_into_head_exits_0(tmp_path):
+    wrmap = _cli(_subcommand_argv("replay", str(tmp_path / "state.json")),
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = subprocess.Popen(["head", "-1"], stdin=wrmap.stdout, stdout=subprocess.PIPE)
+    wrmap.stdout.close()
+    out, _ = head.communicate(timeout=120)
+    err = wrmap.stderr.read()
+    wrmap.stderr.close()
+    assert wrmap.wait(timeout=120) == 0
+    assert err == b""
+    expected = (DATA / "example_build.out").read_bytes()
+    assert out == expected[: expected.index(b"\n") + 1]

@@ -335,3 +335,89 @@ def test_non_finite_rejected():
         Dataset.from_pairs([(float("nan"), 1.0)])
     with pytest.raises(ValueError):
         regression.predict(regression.RegressionModel(0, 1, 0, 2), float("inf"))
+
+
+def reference_fit(data):
+    """`fit` as written before it squared through `map(mul, ...)`: list
+    comprehensions for every square and product, the same sums in the same
+    order. The oracle that the rewritten `fit` returns the same bits."""
+    n = data.n
+    if n < 2:
+        raise regression.InsufficientData(f"need at least 2 observations, got {n}")
+    ws, rs = data.ws, data.rs
+    try:
+        w_bar = math.fsum(ws) / n
+        r_bar = math.fsum(rs) / n
+        dws = [w - w_bar for w in ws]
+        sxx = math.fsum([d * d for d in dws])
+        sxy = math.fsum([d * (r - r_bar) for d, r in zip(dws, rs)])
+        if not (math.isfinite(sxx) and math.isfinite(sxy)):
+            raise OverflowError
+        bound = 1e-12 * max(map(abs, ws))
+        if sxx <= n * bound * bound:
+            raise regression.SingularDesign("all predictor values are (nearly) equal")
+        mu1 = sxy / sxx
+        mu0 = r_bar - mu1 * w_bar
+        res = [r - (mu0 + mu1 * w) for w, r in zip(ws, rs)]
+        ssr_value = math.fsum([e * e for e in res])
+        if not (math.isfinite(mu1) and math.isfinite(mu0) and math.isfinite(ssr_value)):
+            raise OverflowError
+    except (OverflowError, ValueError) as exc:
+        raise regression.NumericOverflow("an intermediate is not finite") from exc
+    sigma2 = ssr_value / (n - 2) if n > 2 else None
+    return regression.RegressionModel(mu0, mu1, ssr_value, n, sigma2)
+
+
+def _fit_outcome(fit, data):
+    try:
+        model = fit(data)
+    except regression.RegressionError as exc:
+        return type(exc)
+    assert type(model) is regression.RegressionModel
+    # repr tells -0.0 from 0.0 and prints every bit of each float.
+    return repr(tuple(model))
+
+
+def test_fit_matches_reference_bit_for_bit_random():
+    rng = random.Random(2014)
+    for _ in range(4000):
+        n = rng.randint(2, 20)
+        offset = rng.choice([0.0, rng.uniform(-1e9, 1e9)])
+        scale = 2.0 ** rng.choice([0, rng.randint(-200, 200), -200, 200])
+        data = Dataset.from_pairs(
+            (scale * (offset + rng.uniform(-10, 10)), scale * rng.uniform(-1e3, 1e3))
+            for _ in range(n)
+        )
+        assert _fit_outcome(regression.fit, data) == _fit_outcome(reference_fit, data)
+
+
+# Bounded so that scaling by 2**200 below stays finite.
+finite = st.floats(-1e6, 1e6)
+
+
+@given(
+    st.lists(st.tuples(finite, finite), min_size=2, max_size=20),
+    st.sampled_from([0.0, 1e3, -1e9, 1e9]),
+    st.sampled_from([1.0, 2.0**-200, 2.0**200]),
+)
+def test_fit_matches_reference_bit_for_bit_property(pairs, offset, scale):
+    data = Dataset.from_pairs(((w + offset) * scale, r * scale) for w, r in pairs)
+    assert _fit_outcome(regression.fit, data) == _fit_outcome(reference_fit, data)
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ([], regression.InsufficientData),
+        ([(1.0, 2.0)], regression.InsufficientData),
+        ([(1, 4), (1, 6)], regression.SingularDesign),
+        ([(3e9, 1), (3e9, 2), (3e9, 5)], regression.SingularDesign),
+        ([(1e200, 1), (2e200, 2), (3e200, 3)], regression.NumericOverflow),
+        ([(-1.5e308, 0), (1.5e308, 1)], regression.NumericOverflow),
+        ([(0, 1e308), (1, -1e308), (2, 1e308)], regression.NumericOverflow),
+    ],
+)
+def test_fit_raises_the_reference_error(pairs, error):
+    data = Dataset.from_pairs(pairs)
+    assert _fit_outcome(reference_fit, data) is error
+    assert _fit_outcome(regression.fit, data) is error

@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from math import isfinite
@@ -404,4 +405,39 @@ def test_parser_matches_reference_on_rejected_lines(before, bad, after):
     text = "\n".join([trace_io.OBSERVATIONS_HEADER, *before, bad, *after, ""])
     expected = _outcome(reference_parse_observations, text)
     assert expected[0] == "error"
+    assert _outcome(trace_io.parse_observations, text) == expected
+
+
+def _large_csv_rows(seed=2014, rows=20_000):
+    """Data rows of a seeded CSV whose pairs interleave in random order."""
+    rng = random.Random(seed)
+    pairs = [(f"R{rng.randrange(40)}", f"W{rng.randrange(40)}") for _ in range(300)]
+    return [
+        f"{r},{w},{rng.uniform(-1e3, 1e3):.{rng.randrange(8)}f},{rng.randrange(-99, 99)}"
+        for r, w in (rng.choice(pairs) for _ in range(rows))
+    ]
+
+
+def test_parser_matches_reference_at_scale():
+    text = "\n".join([trace_io.OBSERVATIONS_HEADER, *_large_csv_rows()]) + "\n"
+    expected = _outcome(reference_parse_observations, text)
+    assert expected[0] == "ok" and len(expected[1]) > 250
+    assert _outcome(trace_io.parse_observations, text) == expected
+    # The pairs come in order of first appearance, as in the reference.
+    assert list(trace_io.parse_observations(text)) == list(expected[1])
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [("R1,W1,1e999,2", "R 1,W1,1,2"), ("R 1,W1,1,2", "R1,W1,1,-1e999"),
+     ("R1,W1,2,1e999", "R1,W1,x,2"), ("R1,W1,1,2,3", "R1,W1,1e999,2")],
+)
+def test_parser_reports_the_earlier_of_two_faults_at_scale(first, later):
+    # Data row k is on line k + 1: the first fault is on line 15,001.
+    rows = _large_csv_rows()
+    rows[14_999] = first
+    rows[17_999] = later
+    text = "\n".join([trace_io.OBSERVATIONS_HEADER, *rows]) + "\n"
+    expected = _outcome(reference_parse_observations, text)
+    assert expected[:2] == ("error", 15_001)
     assert _outcome(trace_io.parse_observations, text) == expected
