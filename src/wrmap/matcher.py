@@ -8,15 +8,15 @@ lexicographically smallest mark set is returned, so outputs are reproducible.
 The assignment takes one call to `linear_sum_assignment`, a pure-Python
 shortest-augmenting-path solver (Crouse 2016; Jonker and Volgenant 1987)
 that accepts rectangular matrices and returns a dual solution along with
-the matching. Ties are then broken on the zero-reduced-cost cells of that
-dual (Kuhn 1955), with one alternating-cycle search per row. The module
-needs the standard library only.
+the matching. It runs on the costs mapped exactly onto integers, and ties
+are broken on the cells of reduced cost exactly 0 (Kuhn 1955), with one
+alternating-cycle search per row. The module needs the standard library only.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import frexp, fsum, isfinite, ldexp
+from math import fsum, isfinite
 from typing import Mapping, Optional, Sequence
 
 from .core import AllocationState, check_token
@@ -149,10 +149,10 @@ def linear_sum_assignment(
     columns and preferring a free column on equal distance. Returns
     (col_of, u, v): col_of[i] is the column of row i, or -1 when row i is
     left unmatched; u and v are row and column potentials with
-    cost[i][j] - u[i] - v[j] >= 0 up to rounding and 0 on the matching.
-    The potentials of the longer side are <= 0 up to rounding and exactly
-    0 where unmatched, so zero-cost dummies at potential 0 that square the
-    matrix up keep the dual feasible.
+    cost[i][j] - u[i] - v[j] >= 0 and 0 on the matching, and the
+    potentials of the longer side are <= 0 and exactly 0 where unmatched,
+    so zero-cost dummies at potential 0 that square the matrix up keep
+    the dual feasible. On integer costs all of this is exact.
     """
     n_rows = len(cost)
     n_cols = len(cost[0]) if n_rows else 0
@@ -161,8 +161,8 @@ def linear_sum_assignment(
         cost = list(zip(*cost))
         n_rows, n_cols = n_cols, n_rows
     inf = float("inf")
-    u = [0.0] * n_rows
-    v = [0.0] * n_cols
+    u = [0] * n_rows
+    v = [0] * n_cols
     col4row = [-1] * n_rows
     row4col = [-1] * n_cols
     path = [-1] * n_cols
@@ -172,7 +172,7 @@ def linear_sum_assignment(
         seen_rows = []
         seen_cols = []
         i = start
-        lowest = 0.0
+        lowest = 0
         while True:
             seen_rows.append(i)
             row = cost[i]
@@ -286,41 +286,36 @@ def assign(costs: CostMatrix) -> AssignmentMatrix:
     small as possible, then row 1's, and so on, with an unmarked row
     ranking after every column.
 
-    The solver runs once, on the matrix as given, and returns a dual
-    solution along with the matching. The solution is squared up with
-    zero-cost dummy rows or columns at potential 0, which rank after the
-    real ones, change no total and keep the dual feasible. The potentials
-    mark the tight cells, those whose reduced cost is within about 1e-12
-    of the largest real |cost|, and the tie-break picks among tight cells
-    only. The chosen total is checked against the solver's optimum; a
-    mismatch raises MatcherError.
+    The solver runs once, on the costs mapped exactly onto integers, and
+    returns a dual solution along with the matching. The solution is
+    squared up with zero-cost dummy rows or columns at potential 0, which
+    rank after the real ones, change no total and keep the dual feasible.
+    The potentials mark the tight cells, those whose reduced cost is
+    exactly 0. By complementary slackness the perfect matchings of tight
+    cells are exactly the optima, so the tie-break picks among them only.
     """
     n_res, n_wl = len(costs.resources), len(costs.workloads)
     if n_res == 0 or n_wl == 0:
         return AssignmentMatrix(costs.resources, costs.workloads, frozenset(), costs)
-    # Dividing by a power of two is exact and leaves every |cost| below 1,
-    # so totals cannot overflow and the tolerance can be absolute.
-    scale = -frexp(max(abs(c) for row in costs.cost for c in row))[1]
-    matrix = [[ldexp(c, scale) for c in row] for row in costs.cost]
-    tol = 1e-12
+    # Every finite double is p/q with q a power of two: on the grid of the
+    # largest q, each cost is exactly the integer p * (unit // q).
+    ratios = [[c.as_integer_ratio() for c in row] for row in costs.cost]
+    unit = max(q for row in ratios for _, q in row)
+    matrix = [[p * (unit // q) for p, q in row] for row in ratios]
     col_of, u, v = linear_sum_assignment(matrix)
-    best = fsum(matrix[i][j] for i, j in enumerate(col_of) if j >= 0)
     n = max(n_res, n_wl)
     free = iter(sorted(set(range(n)).difference(col_of)))
     col_of = [j if j >= 0 else next(free) for j in col_of]
     col_of += [next(free) for _ in range(n - n_res)]
-    u += [0.0] * (n - n_res)
-    v += [0.0] * (n - n_wl)
-    zeros = [0.0] * n
+    u += [0] * (n - n_res)
+    v += [0] * (n - n_wl)
+    zeros = [0] * n
     square = [row + zeros[n_wl:] for row in matrix] + [zeros] * (n - n_res)
     tight = [
-        [j for j, (c, vj) in enumerate(zip(row, v)) if c - ui - vj <= tol]
+        [j for j, (c, vj) in enumerate(zip(row, v)) if c - ui == vj]
         for row, ui in zip(square, u)
     ]
     col_of = _lex_min_tight(tight, col_of)
-    gap = fsum(square[i][j] for i, j in enumerate(col_of)) - best
-    if abs(gap) > (n + 1) * tol:
-        raise MatcherError(f"tie-break total is {gap:.3g} off the optimum (scaled)")
     marks = {(i, j) for i, j in enumerate(col_of[:n_res]) if j < n_wl}
     return AssignmentMatrix(costs.resources, costs.workloads, frozenset(marks), costs)
 

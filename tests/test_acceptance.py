@@ -7,6 +7,7 @@ lines. The whole module is desk-scale and finishes well under a minute.
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -167,14 +168,15 @@ def test_criterion_5_reference_matrix_reproduction():
     ]
     result = matcher.assign(_square_costs(grid))
     ok = result.marks == REFERENCE_MARKS
+    exact = [[Fraction(c) for c in row] for row in grid]
     optima = []
     best = math.inf
     for perm in itertools.permutations(range(7)):
-        total = sum(grid[i][perm[i]] for i in range(7))
-        if total < best - 1e-12:
+        total = sum(exact[i][perm[i]] for i in range(7))
+        if total < best:
             best = total
             optima = [perm]
-        elif abs(total - best) <= 1e-12:
+        elif total == best:
             optima.append(perm)
     ok &= len(optima) == 1
     ok &= {(i, optima[0][i]) for i in range(7)} == REFERENCE_MARKS
@@ -190,12 +192,13 @@ def test_criterion_6_assignment_optimality():
         n = int(rng.integers(1, 8))
         grid = rng.uniform(-10, 10, (n, n))
         result = matcher.assign(_square_costs(grid.tolist()))
-        total = result.total_cost()
+        exact = [[Fraction(c) for c in row] for row in grid.tolist()]
         best = min(
-            sum(grid[i][perm[i]] for i in range(n))
+            sum(exact[i][perm[i]] for i in range(n))
             for perm in itertools.permutations(range(n))
         )
-        if abs(total - best) > 1e-9:
+        total = sum(exact[i][j] for i, j in result.marks)
+        if total != best or result.total_cost() != float(best):
             mismatches += 1
     report(
         "criterion 6: optimal assignment equals exhaustive minimum on 200 matrices",

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,34 +11,40 @@ from wrmap.matcher import AssignmentMatrix, CostMatrix
 from wrmap.regression import RegressionModel
 
 
-def brute_force_min(cost):
-    """Exhaustive assignment oracle: try every permutation."""
+def exact(grid):
+    """The costs as Fractions, so that sums of them are exact."""
+    return [[Fraction(c) for c in row] for row in np.asarray(grid, float).tolist()]
+
+
+def brute_force_min(grid):
+    """Exhaustive assignment oracle: try every permutation, on exact totals."""
+    cost = exact(grid)
     n = len(cost)
     best = None
     best_perms = []
     for perm in itertools.permutations(range(n)):
         total = sum(cost[i][perm[i]] for i in range(n))
-        if best is None or total < best - 1e-12:
+        if best is None or total < best:
             best = total
             best_perms = [perm]
-        elif abs(total - best) <= 1e-12:
+        elif total == best:
             best_perms.append(perm)
     return best, best_perms
 
 
 def brute_force_lex_min(grid):
-    """Exhaustive oracle for `assign`'s marks on exact (integer) costs.
+    """Exhaustive oracle for `assign`'s marks, on exact totals.
 
     Tries every injection of the shorter side into the longer one. Among
     the cheapest, returns the one whose per-row column list is smallest,
     an unmarked row counting as column n_wl (after every real column).
     """
-    cost = np.array(grid, dtype=float)
-    n_res, n_wl = cost.shape
+    cost = exact(grid)
+    n_res, n_wl = len(cost), len(cost[0])
     best = None
     if n_res <= n_wl:
         for cols in itertools.permutations(range(n_wl), n_res):
-            total = cost[range(n_res), cols].sum()
+            total = sum(cost[i][j] for i, j in enumerate(cols))
             if best is None or (total, cols) < best:
                 best = (total, cols)
     else:
@@ -45,7 +52,7 @@ def brute_force_lex_min(grid):
             key = [n_wl] * n_res
             for j, i in enumerate(rows):
                 key[i] = j
-            total = cost[rows, range(n_wl)].sum()
+            total = sum(cost[i][j] for j, i in enumerate(rows))
             if best is None or (total, tuple(key)) < best:
                 best = (total, tuple(key))
     return {(i, j) for i, j in enumerate(best[1]) if j < n_wl}
@@ -54,12 +61,12 @@ def brute_force_lex_min(grid):
 def reference_lex_min(cost):
     """The earlier implementation of the tie-break, kept as a reference:
     one solve per (row, candidate column), fixing each row to the smallest
-    column that still allows an optimal completion. Square input only.
+    column that still allows an optimal completion. Square input of small
+    integers only, on which scipy's sums are exact.
     """
     n = cost.shape[0]
     row_ind, col_ind = linear_sum_assignment(cost)
     best = float(cost[row_ind, col_ind].sum())
-    tol = 1e-9 * (1.0 + abs(best))
     remaining = list(range(n))
     fixed = 0.0
     chosen = set()
@@ -73,7 +80,7 @@ def reference_lex_min(cost):
                 completion = float(sub[rr, cc].sum())
             else:
                 completion = 0.0
-            if fixed + cost[i, j] + completion <= best + tol:
+            if fixed + cost[i, j] + completion <= best:
                 chosen.add((i, j))
                 fixed += float(cost[i, j])
                 remaining.remove(j)
@@ -198,7 +205,7 @@ def test_assign_matches_brute_force_random():
         grid = rng.uniform(-10, 10, (n, n)).round(3).tolist()
         result = matcher.assign(costs_of(grid))
         best, _ = brute_force_min(grid)
-        assert result.total_cost() == pytest.approx(best, abs=1e-9)
+        assert result.total_cost() == float(best)
 
 
 def test_assign_row_column_shift_invariance():
@@ -293,8 +300,8 @@ def test_assign_matches_brute_force_lex_min_tie_heavy():
 
 
 def test_assign_rectangular_finds_optimum_among_large_costs():
-    # Two cheaper cells away from the lexicographically first corner. A
-    # tie tolerance scaled by anything but the real costs swallows the 0.5.
+    # Two cells 0.5 cheaper than the rest, away from the lexicographically
+    # first corner; 0.5 is tiny next to the costs of 1e6.
     grid = np.full((2, 60), 1e6)
     grid[0, 59] = grid[1, 58] = 1e6 - 0.5
     result = matcher.assign(costs_of(grid))
@@ -312,7 +319,8 @@ def test_assign_agrees_with_reference_tie_break():
 
 
 @st.composite
-def shifted_grids(draw):
+def shifted_grids(draw, unit, shifts):
+    """A grid of {0, 1, 2} * unit, and a copy with one row or column shifted."""
     n_res = draw(st.integers(1, 6))
     n_wl = draw(st.integers(1, 6))
     grid = np.array(
@@ -320,12 +328,12 @@ def shifted_grids(draw):
                       min_size=n_res, max_size=n_res)),
         dtype=float,
     )
-    grid *= 0.1  # ties now hold in decimal but only nearly in binary
+    grid *= unit
     # Only a fully marked side can shift without changing which cells win.
     axes = [axis for axis, ok in ((0, n_res <= n_wl), (1, n_res >= n_wl)) if ok]
     axis = draw(st.sampled_from(axes))
     index = draw(st.integers(0, grid.shape[axis] - 1))
-    shift = draw(st.floats(-1e9, 1e9, allow_nan=False))
+    shift = draw(shifts)
     shifted = grid.copy()
     if axis == 0:
         shifted[index, :] += shift
@@ -335,10 +343,49 @@ def shifted_grids(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(shifted_grids())
+@given(shifted_grids(0.25, st.integers(-2**40, 2**40)))
 def test_assign_marks_invariant_under_row_or_column_shift(grids):
+    # Quarters plus integers up to 2^40 add exactly, so every total moves
+    # by the same shift and the same marks win.
     grid, shifted = grids
     assert matcher.assign(costs_of(shifted)).marks == matcher.assign(costs_of(grid)).marks
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifted_grids(0.1, st.floats(-1e9, 1e9, allow_nan=False)))
+def test_assign_is_exact_lex_min_on_near_ties(grids):
+    # Tenths tie in decimal but, once shifted and rounded, only nearly in
+    # binary: the marks follow the exact totals of the doubles given.
+    for grid in grids:
+        assert matcher.assign(costs_of(grid)).marks == brute_force_lex_min(grid)
+
+
+def test_assign_is_exact_on_a_near_tie_below_the_largest_cost():
+    # The diagonal costs 1e-9 and the optimum 0; 1e-9 is a near-tie only
+    # relative to the largest cost.
+    grid = [[1e-9, 0, 1e3], [0, 0, 1e3], [1e3, 1e3, 0]]
+    result = matcher.assign(costs_of(grid))
+    assert result.marks == {(0, 1), (1, 0), (2, 2)}
+    assert result.total_cost() == 0.0
+
+
+def test_assign_is_exact_on_a_shifted_near_tie():
+    # As doubles, 0.1 + 1.0 < 0.0 + 1.1: (0, 1), (1, 0) is the only optimum.
+    grid = np.array([[0, 0.1, 0.1], [0, 0.1, 0.1]])
+    grid[1] += 1.0
+    assert matcher.assign(costs_of(grid)).marks == {(0, 1), (1, 0)}
+    assert brute_force_lex_min(grid) == {(0, 1), (1, 0)}
+
+
+def test_assign_is_exact_on_costs_spanning_the_double_range():
+    rng = np.random.default_rng(61)
+    extremes = [0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]
+    for _ in range(60):
+        shape = rng.integers(1, 6, 2)
+        grid = np.sign(rng.uniform(-1, 1, shape)) * 10.0 ** rng.uniform(-300, 300, shape)
+        picks = rng.random(shape) < 0.3
+        grid[picks] = rng.choice(extremes, picks.sum())
+        assert matcher.assign(costs_of(grid)).marks == brute_force_lex_min(grid)
 
 
 @pytest.mark.parametrize("shape", [(96, 80), (200, 200)])
@@ -357,26 +404,11 @@ def test_assign_solves_once(monkeypatch, shape):
     assert len(result.marks) == min(shape)
 
 
-def test_assign_rejects_a_non_optimal_tie_break(monkeypatch):
-    # The chosen total is checked against the solver's optimum: reversing
-    # the tight (and here optimal) identity matching costs 2 instead of 0.
-    def reversed_matching(tight, col_of):
-        assert tight == [[0], [1]] and col_of == [0, 1]
-        return col_of[::-1]
-
-    monkeypatch.setattr(matcher, "_lex_min_tight", reversed_matching)
-    with pytest.raises(matcher.MatcherError):
-        matcher.assign(costs_of([[0, 1], [1, 0]]))
-
-
-def scaled_grid(kind, shape, seed):
-    """Costs divided by a power of two to |c| < 1, as `assign` scales them."""
+def integer_grid(kind, shape, seed):
+    """Integer costs: uniform below 2^40, which scipy's doubles hold exactly
+    along with every total and potential, or ties in {0, 1, 2}."""
     rng = np.random.default_rng(seed)
-    if kind == "uniform":
-        grid = rng.uniform(0, 1000, shape)
-    else:
-        grid = rng.integers(0, 3, shape).astype(float)
-    return np.ldexp(grid, -np.frexp(np.abs(grid).max())[1])
+    return rng.integers(0, 2**40 if kind == "uniform" else 3, shape)
 
 
 SOLVER_SHAPES = [(1, 1), (1, 9), (9, 1), (7, 7), (5, 12), (12, 5), (60, 200),
@@ -386,19 +418,18 @@ SOLVER_SHAPES = [(1, 1), (1, 9), (9, 1), (7, 7), (5, 12), (12, 5), (60, 200),
 @pytest.mark.parametrize("kind", ["uniform", "ties"])
 @pytest.mark.parametrize("shape", SOLVER_SHAPES)
 def test_solver_matches_scipy_and_returns_feasible_duals(kind, shape):
-    cost = scaled_grid(kind, shape, 53 + sum(shape))
+    cost = integer_grid(kind, shape, 53 + sum(shape))
     col_of, u, v = matcher.linear_sum_assignment(cost.tolist())
     rows, cols = linear_sum_assignment(cost)
     matched = [(i, j) for i, j in enumerate(col_of) if j >= 0]
     assert len(col_of) == shape[0] and len(matched) == min(shape)
     assert len({j for _, j in matched}) == len(matched)
-    n = max(shape)
-    total = sum(cost[i, j] for i, j in matched)
-    assert total == pytest.approx(cost[rows, cols].sum(), abs=(n + 1) * 1e-12)
+    assert sum(cost[i, j] for i, j in matched) == cost[rows, cols].sum()
+    assert all(type(p) is int for p in u + v)
     u, v = np.array(u), np.array(v)
     reduced = cost - u[:, None] - v[None, :]
-    assert reduced.min() >= -1e-12
-    assert all(abs(reduced[i, j]) <= 1e-12 for i, j in matched)
+    assert reduced.min() >= 0
+    assert all(reduced[i, j] == 0 for i, j in matched)
     matched_rows = {i for i, _ in matched}
     matched_cols = {j for _, j in matched}
     assert all(u[i] == 0.0 for i in range(shape[0]) if i not in matched_rows)
@@ -406,7 +437,7 @@ def test_solver_matches_scipy_and_returns_feasible_duals(kind, shape):
     # Zero-cost dummies at potential 0 square the problem up: their
     # reduced costs -v[j] (dummy rows) or -u[i] (dummy columns) stay >= 0.
     longer = v if shape[0] <= shape[1] else u
-    assert longer.max() <= 1e-12
+    assert longer.max() <= 0
 
 
 def test_solver_empty_and_exact_on_integer_ties():
