@@ -77,12 +77,19 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _known_pair(datasets, text: str) -> tuple[str, str]:
-    pair = tuple(text.split(":"))
-    if len(pair) != 2 or not pair[0] or not pair[1]:
+    """The observed pair that text names. Names may contain ':', so text is
+    split at each colon that leaves two non-empty names."""
+    splits = [(text[:k], text[k + 1:]) for k in range(1, len(text) - 1)
+              if text[k] == ":"]
+    if not splits:
         raise _UsageError(f"--pair must look like RESOURCE:WORKLOAD, got {text!r}")
-    if pair not in datasets:
-        raise _DomainError(f"unknown pair {pair[0]}:{pair[1]}")
-    return pair
+    known = [pair for pair in splits if pair in datasets]
+    if len(known) > 1:
+        names = " or ".join(f"{r},{w}" for r, w in known)
+        raise _UsageError(f"--pair {text!r} is ambiguous: it names {names}")
+    if not known:
+        raise _DomainError(f"unknown pair {text}")
+    return known[0]
 
 
 # The message prefix for each error `regression.fit` raises.

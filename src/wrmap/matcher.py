@@ -169,12 +169,10 @@ def linear_sum_assignment(
     for start in range(n_rows):
         dist = [inf] * n_cols
         remaining = list(range(n_cols - 1, -1, -1))
-        seen_rows = []
         seen_cols = []
         i = start
         lowest = 0
         while True:
-            seen_rows.append(i)
             row = cost[i]
             base = lowest - u[i]
             lowest = inf
@@ -196,11 +194,13 @@ def linear_sum_assignment(
             if row4col[j] < 0:
                 break
             i = row4col[j]
+        # Until the augmentation below, row4col[c] are the rows the search
+        # reached; the last column is free and at dist == lowest.
         u[start] += lowest
-        for i in seen_rows[1:]:
-            u[i] += lowest - dist[col4row[i]]
-        for j in seen_cols:
-            v[j] -= lowest - dist[j]
+        for c in seen_cols[:-1]:
+            delta = lowest - dist[c]
+            u[row4col[c]] += delta
+            v[c] -= delta
         while True:
             i = path[j]
             row4col[j] = i
@@ -212,49 +212,27 @@ def linear_sum_assignment(
     return row4col, v, u
 
 
-def _reachable_to(
-    rows_of: list[list[int]], col_of: list[int], row: int, target: int, wanted: int
+def _lex_min_tight(
+    square: list[list[int]], u: list[int], v: list[int], col_of: list[int]
 ) -> list[int]:
-    """Reverse breadth-first search for alternating paths into column target.
+    """Lexicographically smallest perfect matching of tight cells.
 
-    rows_of[c] lists the rows with a tight cell in column c. Returns nxt,
-    where nxt[c] >= 0 means the row holding column c can move to column
-    nxt[c] along a tight cell, and so on until target is reached. Rows up
-    to and including row never move. The search stops early once column
-    wanted is reached.
-    """
-    nxt = [-1] * len(col_of)
-    visited = [k <= row for k in range(len(col_of))]
-    frontier = [target]
-    while frontier and nxt[wanted] < 0:
-        reached = []
-        for c in frontier:
-            for r in rows_of[c]:
-                if not visited[r]:
-                    visited[r] = True
-                    nxt[col_of[r]] = c
-                    reached.append(col_of[r])
-        frontier = reached
-    return nxt
-
-
-def _lex_min_tight(tight: list[list[int]], col_of: list[int]) -> list[int]:
-    """Lexicographically smallest perfect matching inside the tight subgraph.
-
-    tight[i] lists row i's tight columns in ascending order, and col_of is
-    a perfect matching made of tight cells. Row by row, row i takes the
-    smallest column j < col_of[i], not held by an earlier row, that lies
-    on an alternating cycle through (i, col_of[i]); the cycle is rotated so
-    that i holds j. One reverse search per row finds every such j, so the
-    whole pass is O(n^3).
+    col_of is a perfect matching of tight cells of square, those with
+    square[i][j] - u[i] == v[j]. Row by row, row i takes the smallest
+    column j < col_of[i], not held by an earlier row, that lies on an
+    alternating cycle of tight cells through (i, col_of[i]); the cycle is
+    rotated so that i holds j. One reverse breadth-first search per row
+    finds every such j, so the whole pass is O(n^3).
     """
     n = len(col_of)
     col_of = list(col_of)
     row_of = [0] * n
-    for i, j in enumerate(col_of):
-        row_of[j] = i
+    tight = []
     rows_of: list[list[int]] = [[] for _ in range(n)]
-    for i, cols in enumerate(tight):
+    for i, (row, ui) in enumerate(zip(square, u)):
+        row_of[col_of[i]] = i
+        cols = [j for j, (c, vj) in enumerate(zip(row, v)) if c - ui == vj]
+        tight.append(cols)
         for j in cols:
             rows_of[j].append(i)
     for i in range(n):
@@ -262,19 +240,29 @@ def _lex_min_tight(tight: list[list[int]], col_of: list[int]) -> list[int]:
         candidates = [j for j in tight[i] if j < target and row_of[j] > i]
         if not candidates:
             continue
-        nxt = _reachable_to(rows_of, col_of, i, target, candidates[0])
-        reachable = [j for j in candidates if nxt[j] >= 0]
-        if not reachable:
-            continue
-        path = [reachable[0]]
-        while path[-1] != target:
-            path.append(nxt[path[-1]])
-        owners = [row_of[c] for c in path[:-1]]
-        for owner, c in zip(owners, path[1:]):
-            col_of[owner] = c
-            row_of[c] = owner
-        col_of[i] = path[0]
-        row_of[path[0]] = i
+        # nxt[c] >= 0: the row holding column c can move to column nxt[c],
+        # and so on to target. The search ends once candidates[0] is reached.
+        nxt = [-1] * n
+        visited = [True] * (i + 1) + [False] * (n - i - 1)
+        frontier = [target]
+        while frontier and nxt[candidates[0]] < 0:
+            reached = []
+            for c in frontier:
+                for r in rows_of[c]:
+                    if not visited[r]:
+                        visited[r] = True
+                        nxt[col_of[r]] = c
+                        reached.append(col_of[r])
+            frontier = reached
+        j = next((c for c in candidates if nxt[c] >= 0), target)
+        # Rotate: row i takes j, j's old owner takes nxt[j], and so on
+        # until some row takes target.
+        r = i
+        while j != target:
+            owner = row_of[j]
+            col_of[r], row_of[j] = j, r
+            r, j = owner, nxt[j]
+        col_of[r], row_of[target] = target, r
     return col_of
 
 
@@ -311,11 +299,7 @@ def assign(costs: CostMatrix) -> AssignmentMatrix:
     v += [0] * (n - n_wl)
     zeros = [0] * n
     square = [row + zeros[n_wl:] for row in matrix] + [zeros] * (n - n_res)
-    tight = [
-        [j for j, (c, vj) in enumerate(zip(row, v)) if c - ui == vj]
-        for row, ui in zip(square, u)
-    ]
-    col_of = _lex_min_tight(tight, col_of)
+    col_of = _lex_min_tight(square, u, v, col_of)
     marks = {(i, j) for i, j in enumerate(col_of[:n_res]) if j < n_wl}
     return AssignmentMatrix(costs.resources, costs.workloads, frozenset(marks), costs)
 

@@ -182,6 +182,50 @@ class TestResiduals:
         assert "unknown pair" in err
 
 
+# Names are tokens, which may contain ':'; fit --all lists a pair R:1,W1.
+COLON_ROWS = "R:1,W1,1,2\nR:1,W1,2,3\nR:1,W1,3,5\n"
+
+
+def observations(tmp_path, rows, name="obs.csv"):
+    path = tmp_path / name
+    path.write_text("resource,workload,w,r\n" + rows)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["fit", "residuals"])
+class TestPairContainingColon:
+    def test_split_naming_an_observed_pair(self, capsys, tmp_path, command):
+        path = observations(tmp_path, COLON_ROWS)
+        code, out, err = run(capsys, command, "--input", path, "--pair", "R:1:W1")
+        assert (code, err) == (0, "")
+        if command == "fit":
+            assert out == run(capsys, "fit", "--input", path, "--all")[1]
+            assert out.splitlines()[1].startswith("R:1,W1,")
+        else:
+            r1 = observations(tmp_path, COLON_ROWS.replace("R:1", "R1"), "r1.csv")
+            assert out == run(capsys, command, "--input", r1, "--pair", "R1:W1")[1]
+
+    @pytest.mark.parametrize("text", ["R1W1", "R1:", ":W1", ":"])
+    def test_no_split_into_two_names(self, capsys, tmp_path, command, text):
+        path = observations(tmp_path, COLON_ROWS)
+        code, out, err = run(capsys, command, "--input", path, "--pair", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: --pair must look like RESOURCE:WORKLOAD, got {text!r}\n"
+
+    def test_two_splits_naming_observed_pairs(self, capsys, tmp_path, command):
+        path = observations(tmp_path, COLON_ROWS + COLON_ROWS.replace("R:1,", "R,1:"))
+        code, out, err = run(capsys, command, "--input", path, "--pair", "R:1:W1")
+        assert out == ""
+        assert_one_line_usage_error(code, err)
+        assert "ambiguous" in err and "R,1:W1" in err and "R:1,W1" in err
+
+    @pytest.mark.parametrize("text", ["R:9:W1", "R:1:W9", "R::W1"])
+    def test_no_split_naming_an_observed_pair(self, capsys, tmp_path, command, text):
+        path = observations(tmp_path, COLON_ROWS)
+        code, out, err = run(capsys, command, "--input", path, "--pair", text)
+        assert (code, out, err) == (1, "", f"error: unknown pair {text}\n")
+
+
 class TestAllocate:
     def test_reference_table(self, capsys):
         code, out, err = run(

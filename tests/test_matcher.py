@@ -88,6 +88,90 @@ def reference_lex_min(cost):
     return chosen
 
 
+def reference_reachable_to(rows_of, col_of, row, target, wanted):
+    """Reverse breadth-first search for alternating paths into column target.
+
+    Part of the tie-break as it was before `_lex_min_tight` became one
+    function, kept as a reference. rows_of[c] lists the rows with a tight
+    cell in column c. Returns nxt, where nxt[c] >= 0 means the row holding
+    column c can move to column nxt[c] along a tight cell, and so on until
+    target is reached. Rows up to and including row never move. The search
+    stops early once column wanted is reached.
+    """
+    nxt = [-1] * len(col_of)
+    visited = [k <= row for k in range(len(col_of))]
+    frontier = [target]
+    while frontier and nxt[wanted] < 0:
+        reached = []
+        for c in frontier:
+            for r in rows_of[c]:
+                if not visited[r]:
+                    visited[r] = True
+                    nxt[col_of[r]] = c
+                    reached.append(col_of[r])
+        frontier = reached
+    return nxt
+
+
+def reference_lex_min_tight(tight, col_of):
+    """Lexicographically smallest perfect matching inside the tight subgraph.
+
+    The earlier tie-break, kept as a reference. tight[i] lists row i's
+    tight columns in ascending order, and col_of is a perfect matching
+    made of tight cells.
+    """
+    n = len(col_of)
+    col_of = list(col_of)
+    row_of = [0] * n
+    for i, j in enumerate(col_of):
+        row_of[j] = i
+    rows_of = [[] for _ in range(n)]
+    for i, cols in enumerate(tight):
+        for j in cols:
+            rows_of[j].append(i)
+    for i in range(n):
+        target = col_of[i]
+        candidates = [j for j in tight[i] if j < target and row_of[j] > i]
+        if not candidates:
+            continue
+        nxt = reference_reachable_to(rows_of, col_of, i, target, candidates[0])
+        reachable = [j for j in candidates if nxt[j] >= 0]
+        if not reachable:
+            continue
+        path = [reachable[0]]
+        while path[-1] != target:
+            path.append(nxt[path[-1]])
+        owners = [row_of[c] for c in path[:-1]]
+        for owner, c in zip(owners, path[1:]):
+            col_of[owner] = c
+            row_of[c] = owner
+        col_of[i] = path[0]
+        row_of[path[0]] = i
+    return col_of
+
+
+def reference_tie_break_marks(grid):
+    """`assign`'s marks on an integer grid, tie-broken by the reference:
+    one solve, zero-cost dummies at potential 0, the tight cells listed
+    per row, then `reference_lex_min_tight`."""
+    matrix = grid.tolist()
+    n_res, n_wl = grid.shape
+    col_of, u, v = matcher.linear_sum_assignment(matrix)
+    n = max(n_res, n_wl)
+    free = iter(sorted(set(range(n)).difference(col_of)))
+    col_of = [j if j >= 0 else next(free) for j in col_of]
+    col_of += [next(free) for _ in range(n - n_res)]
+    u += [0] * (n - n_res)
+    v += [0] * (n - n_wl)
+    square = [row + [0] * (n - n_wl) for row in matrix] + [[0] * n] * (n - n_res)
+    tight = [
+        [j for j, (c, vj) in enumerate(zip(row, v)) if c - ui == vj]
+        for row, ui in zip(square, u)
+    ]
+    col_of = reference_lex_min_tight(tight, col_of)
+    return {(i, j) for i, j in enumerate(col_of[:n_res]) if j < n_wl}
+
+
 def costs_of(grid):
     grid = np.asarray(grid, dtype=float)
     names_r = tuple(f"R{i:03d}" for i in range(grid.shape[0]))
@@ -318,6 +402,19 @@ def test_assign_agrees_with_reference_tie_break():
         assert matcher.assign(costs_of(grid)).marks == reference_lex_min(grid)
 
 
+# Past the sizes the exact oracles reach, in both orientations, since the
+# shorter side is padded with zero-cost dummies that tie with each other.
+# top == 0 is the all-zero matrix, where every perfect matching is optimal.
+@pytest.mark.parametrize("shape", [(60, 150), (150, 60), (96, 80), (80, 96),
+                                   (120, 120)])
+@pytest.mark.parametrize("top", [0, 1, 2])
+def test_assign_agrees_with_reference_lex_min_tight_beyond_brute_force(shape, top):
+    rng = np.random.default_rng(67 + top + sum(shape))
+    for _ in range(1 if top == 0 else 3):
+        grid = rng.integers(0, top + 1, shape)
+        assert matcher.assign(costs_of(grid)).marks == reference_tie_break_marks(grid)
+
+
 @st.composite
 def shifted_grids(draw, unit, shifts):
     """A grid of {0, 1, 2} * unit, and a copy with one row or column shifted."""
@@ -412,7 +509,7 @@ def integer_grid(kind, shape, seed):
 
 
 SOLVER_SHAPES = [(1, 1), (1, 9), (9, 1), (7, 7), (5, 12), (12, 5), (60, 200),
-                 (200, 60), (199, 200), (200, 199), (200, 200)]
+                 (200, 60), (96, 80), (80, 96), (199, 200), (200, 199), (200, 200)]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "ties"])
