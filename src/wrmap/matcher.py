@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import fsum, isfinite
+from operator import lt
 from typing import Mapping, Optional, Sequence
 
 from .core import AllocationState, check_token
@@ -54,8 +55,9 @@ class UnknownLabel(MatcherError):
 class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
     """Rectangular grid of predicted costs, rows=resources, cols=workloads.
 
-    Orders are lexicographic by id; all entries finite. The one
-    constructor checks both, for `build_cost_matrix` as for any caller.
+    Orders are strictly lexicographic by id, so no label repeats; all
+    entries finite. The one constructor checks both, for
+    `build_cost_matrix` as for any caller.
     """
 
     __slots__ = ()
@@ -66,10 +68,10 @@ class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
         workloads: tuple[str, ...],
         cost: tuple[tuple[float, ...], ...],
     ) -> "CostMatrix":
-        if list(resources) != sorted(resources):
-            raise ValueError("resources must be in lexicographic order")
-        if list(workloads) != sorted(workloads):
-            raise ValueError("workloads must be in lexicographic order")
+        if not all(map(lt, resources, resources[1:])):
+            raise ValueError("resources must be in lexicographic order, without repeats")
+        if not all(map(lt, workloads, workloads[1:])):
+            raise ValueError("workloads must be in lexicographic order, without repeats")
         if len(cost) != len(resources):
             raise ValueError("cost row count must match resources")
         for row in cost:

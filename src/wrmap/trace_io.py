@@ -225,10 +225,20 @@ def write_state(s: AllocationState) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _object_without_repeats(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent overwrite."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise SnapshotError(f"repeated key {json.dumps(key)} in snapshot")
+        data[key] = value
+    return data
+
+
 def read_state(text: Union[str, bytes]) -> AllocationState:
     """Inverse of write_state; the available set is rebuilt from the keys."""
     try:
-        data = json.loads(_decode(text))
+        data = json.loads(_decode(text), object_pairs_hook=_object_without_repeats)
     except ParseError as exc:
         raise SnapshotError(exc.reason) from exc
     except json.JSONDecodeError as exc:

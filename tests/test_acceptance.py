@@ -4,10 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The whole module is desk-scale and finishes well under a minute.
 """
 
-import itertools
 import math
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +14,8 @@ from wrmap import cli, core, matcher, regression, trace_io
 from wrmap.core import AllocationState, Report
 from wrmap.matcher import AssignmentMatrix, CostMatrix
 from wrmap.regression import Dataset
+
+from exact_assignment import exact, exact_optima
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,19 +167,8 @@ def test_criterion_5_reference_matrix_reproduction():
         for i in range(7)
     ]
     result = matcher.assign(_square_costs(grid))
-    ok = result.marks == REFERENCE_MARKS
-    exact = [[Fraction(c) for c in row] for row in grid]
-    optima = []
-    best = math.inf
-    for perm in itertools.permutations(range(7)):
-        total = sum(exact[i][perm[i]] for i in range(7))
-        if total < best:
-            best = total
-            optima = [perm]
-        elif total == best:
-            optima.append(perm)
-    ok &= len(optima) == 1
-    ok &= {(i, optima[0][i]) for i in range(7)} == REFERENCE_MARKS
+    _, count, marks = exact_optima(grid)
+    ok = result.marks == REFERENCE_MARKS and count == 1 and marks == REFERENCE_MARKS
     report(
         "criterion 5: 7x7 reference matching unique among all 5040 permutations", ok
     )
@@ -192,12 +181,8 @@ def test_criterion_6_assignment_optimality():
         n = int(rng.integers(1, 8))
         grid = rng.uniform(-10, 10, (n, n))
         result = matcher.assign(_square_costs(grid.tolist()))
-        exact = [[Fraction(c) for c in row] for row in grid.tolist()]
-        best = min(
-            sum(exact[i][perm[i]] for i in range(n))
-            for perm in itertools.permutations(range(n))
-        )
-        total = sum(exact[i][j] for i, j in result.marks)
+        cost, best = exact(grid), exact_optima(grid)[0]
+        total = sum(cost[i][j] for i, j in result.marks)
         if total != best or result.total_cost() != float(best):
             mismatches += 1
     report(

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,52 +9,34 @@ from wrmap import core, matcher
 from wrmap.matcher import AssignmentMatrix, CostMatrix
 from wrmap.regression import RegressionModel
 
-
-def exact(grid):
-    """The costs as Fractions, so that sums of them are exact."""
-    return [[Fraction(c) for c in row] for row in np.asarray(grid, float).tolist()]
+from exact_assignment import exact, exact_optima
 
 
-def brute_force_min(grid):
-    """Exhaustive assignment oracle: try every permutation, on exact totals."""
-    cost = exact(grid)
-    n = len(cost)
-    best = None
-    best_perms = []
-    for perm in itertools.permutations(range(n)):
-        total = sum(cost[i][perm[i]] for i in range(n))
-        if best is None or total < best:
-            best = total
-            best_perms = [perm]
-        elif total == best:
-            best_perms.append(perm)
-    return best, best_perms
-
-
-def brute_force_lex_min(grid):
-    """Exhaustive oracle for `assign`'s marks, on exact totals.
-
-    Tries every injection of the shorter side into the longer one. Among
-    the cheapest, returns the one whose per-row column list is smallest,
-    an unmarked row counting as column n_wl (after every real column).
-    """
+def permutation_optima(grid):
+    """`exact_optima` by exhaustion, the DP's own check: every injection of
+    the shorter side, as per-row columns with n_wl for an unmarked row."""
     cost = exact(grid)
     n_res, n_wl = len(cost), len(cost[0])
-    best = None
-    if n_res <= n_wl:
-        for cols in itertools.permutations(range(n_wl), n_res):
-            total = sum(cost[i][j] for i, j in enumerate(cols))
-            if best is None or (total, cols) < best:
-                best = (total, cols)
-    else:
-        for rows in itertools.permutations(range(n_res), n_wl):
-            key = [n_wl] * n_res
-            for j, i in enumerate(rows):
-                key[i] = j
-            total = sum(cost[i][j] for j, i in enumerate(rows))
-            if best is None or (total, tuple(key)) < best:
-                best = (total, tuple(key))
-    return {(i, j) for i, j in enumerate(best[1]) if j < n_wl}
+    # The set drops the orders among the unmarked rows, which would
+    # otherwise be counted as distinct optima.
+    slots = list(range(n_wl)) + [n_wl] * (n_res - n_wl)
+    ranked = sorted(
+        (sum(cost[i][j] for i, j in enumerate(cols) if j < n_wl), cols)
+        for cols in set(itertools.permutations(slots, n_res))
+    )
+    best, cols = ranked[0]
+    count = sum(total == best for total, _ in ranked)
+    return best, count, {(i, j) for i, j in enumerate(cols) if j < n_wl}
+
+
+def test_exact_optima_matches_permutation_optima():
+    # The kinds of cost the tests below hand to `exact_optima`.
+    rng = np.random.default_rng(71)
+    for shape in itertools.product(range(1, 6), repeat=2):
+        for _ in range(6):
+            for grid in (rng.integers(0, 3, shape), rng.integers(-100, 101, shape) / 10,
+                         rng.choice([0.0, 5e-324, 1e300, -1e300], shape)):
+                assert exact_optima(grid) == permutation_optima(grid)
 
 
 def reference_lex_min(cost):
@@ -212,7 +193,7 @@ def test_build_cost_matrix_hand_predictions():
     assert costs.resources == ("R1", "R2")
     assert costs.workloads == ("W1", "W2")
     assert costs.cost == ((5.0, -2.0), (4.0, 0.0))
-    # Built without the constructor's checks, yet equal to a checked matrix.
+    # The sorted result equals a matrix built directly from the sorted labels.
     assert costs == CostMatrix(("R1", "R2"), ("W1", "W2"), ((5.0, -2.0), (4.0, 0.0)))
 
 
@@ -256,10 +237,7 @@ def test_assign_reference_seven_by_seven():
     ]
     result = matcher.assign(costs_of(grid))
     assert result.marks == REFERENCE_MARKS
-    best, best_perms = brute_force_min(grid)
-    assert best == 0.0
-    assert len(best_perms) == 1
-    assert {(i, best_perms[0][i]) for i in range(7)} == REFERENCE_MARKS
+    assert exact_optima(grid) == (0, 1, REFERENCE_MARKS)
 
 
 def test_assign_two_by_two():
@@ -288,7 +266,8 @@ def test_assign_matches_brute_force_random():
         n = int(rng.integers(1, 6))
         grid = rng.uniform(-10, 10, (n, n)).round(3).tolist()
         result = matcher.assign(costs_of(grid))
-        best, _ = brute_force_min(grid)
+        cost, best = exact(grid), exact_optima(grid)[0]
+        assert sum(cost[i][j] for i, j in result.marks) == best
         assert result.total_cost() == float(best)
 
 
@@ -380,7 +359,7 @@ def test_assign_matches_brute_force_lex_min_tie_heavy():
     rng = np.random.default_rng(37)
     for _ in range(120):
         grid = rng.integers(0, 3, rng.integers(1, 8, 2))
-        assert matcher.assign(costs_of(grid)).marks == brute_force_lex_min(grid)
+        assert matcher.assign(costs_of(grid)).marks == exact_optima(grid)[2]
 
 
 def test_assign_rectangular_finds_optimum_among_large_costs():
@@ -454,7 +433,7 @@ def test_assign_is_exact_lex_min_on_near_ties(grids):
     # Tenths tie in decimal but, once shifted and rounded, only nearly in
     # binary: the marks follow the exact totals of the doubles given.
     for grid in grids:
-        assert matcher.assign(costs_of(grid)).marks == brute_force_lex_min(grid)
+        assert matcher.assign(costs_of(grid)).marks == exact_optima(grid)[2]
 
 
 def test_assign_is_exact_on_a_near_tie_below_the_largest_cost():
@@ -471,7 +450,7 @@ def test_assign_is_exact_on_a_shifted_near_tie():
     grid = np.array([[0, 0.1, 0.1], [0, 0.1, 0.1]])
     grid[1] += 1.0
     assert matcher.assign(costs_of(grid)).marks == {(0, 1), (1, 0)}
-    assert brute_force_lex_min(grid) == {(0, 1), (1, 0)}
+    assert exact_optima(grid)[2] == {(0, 1), (1, 0)}
 
 
 def test_assign_is_exact_on_costs_spanning_the_double_range():
@@ -482,7 +461,7 @@ def test_assign_is_exact_on_costs_spanning_the_double_range():
         grid = np.sign(rng.uniform(-1, 1, shape)) * 10.0 ** rng.uniform(-300, 300, shape)
         picks = rng.random(shape) < 0.3
         grid[picks] = rng.choice(extremes, picks.sum())
-        assert matcher.assign(costs_of(grid)).marks == brute_force_lex_min(grid)
+        assert matcher.assign(costs_of(grid)).marks == exact_optima(grid)[2]
 
 
 @pytest.mark.parametrize("shape", [(96, 80), (200, 200)])

@@ -266,6 +266,9 @@ class TestSnapshots:
             '{"allocation":{}, "extra":1}',
             '{"allocation":{"bad token":"W"}}',
             '{"allocation":{"R":1}}',
+            # json.loads alone keeps the last of a repeated key.
+            '{"allocation":{"R1":"W1","R1":"W2"}}',
+            '{"allocation":{},"allocation":{}}',
         ],
     )
     def test_malformed_snapshots(self, bad):

@@ -49,6 +49,8 @@ def test_fields_are_read_only(value, fields):
         (("R1",), ("W1", "W2"), ((1.0, 2.0, 3.0),), "column count"),
         (("R1",), ("W1", "W2"), ((1.0, math.nan),), "finite"),
         (("R1",), ("W1", "W2"), ((-math.inf, 1.0),), "finite"),
+        (("R1", "R1"), ("W1",), ((1.0,), (2.0,)), "resources must be in lexicographic"),
+        (("R1",), ("W1", "W1"), ((1.0, 2.0),), "workloads must be in lexicographic"),
     ],
 )
 def test_cost_matrix_rejects_malformed_input(resources, workloads, cost, message):
