@@ -67,6 +67,10 @@ class Dataset(namedtuple("Dataset", "ws rs")):
         """Wrap equal-length columns of finite floats without checking them."""
         return tuple.__new__(cls, (ws, rs))
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild the value as cls(*__getnewargs__()).
+        return (self.observations,)
+
     @property
     def observations(self) -> tuple[Observation, ...]:
         return tuple(map(Observation, self.ws, self.rs))

@@ -27,7 +27,7 @@ from math import isfinite
 from typing import Iterable, NamedTuple, NoReturn, Optional, Union
 
 from . import core
-from .core import TOKEN, AllocationState, Report, check_token
+from .core import TOKEN, AllocationState, OpOutcome, Report, check_token
 from .regression import Dataset
 
 OBSERVATIONS_HEADER = "resource,workload,w,r"
@@ -87,30 +87,23 @@ _NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _ROW = re.compile(rf"{TOKEN},{TOKEN},{_NUMBER},{_NUMBER}")
 
 
-def _reject_row(line: int, text: str) -> NoReturn:
-    """Raise the error for a data line that `_ROW` does not match.
-
-    The reason names the first check the line fails: the column count,
-    then each token, and otherwise the numbers.
-    """
-    fields = text.split(",")
-    if len(fields) != 4:
-        raise ParseError(line, f"expected 4 columns, got {len(fields)}")
-    _check_tokens(line, fields[:2])
-    raise ParseError(line, "invalid number")
-
-
 def _raise_first_error(rows: list[str]) -> NoReturn:
     """Raise the error of the first data row that fails a check.
 
-    A row fails when `_ROW` does not match it (see `_reject_row`) or when
-    a number it matches is not finite as a float (`1e999`).
+    A row fails when `_ROW` does not match it or when a number it matches
+    is not finite as a float (`1e999`). The reason names the first check
+    the row fails: the column count, then each token, and otherwise the
+    numbers.
     """
     for lineno, row in enumerate(rows, start=2):
-        if _ROW.fullmatch(row) is None:
-            _reject_row(lineno, row)
-        if not all(map(isfinite, map(float, row.rsplit(",", 2)[1:]))):
-            raise ParseError(lineno, "invalid number")
+        numbers = row.rsplit(",", 2)[1:]
+        if _ROW.fullmatch(row) and all(map(isfinite, map(float, numbers))):
+            continue
+        fields = row.split(",")
+        if len(fields) != 4:
+            raise ParseError(lineno, f"expected 4 columns, got {len(fields)}")
+        _check_tokens(lineno, fields[:2])
+        raise ParseError(lineno, "invalid number")
     raise AssertionError("no row fails a check")
 
 
@@ -159,38 +152,38 @@ class ReplayCommand(NamedTuple):
     expect: Optional[Report] = None
 
 
-_REPORT_BY_NAME = {r.value: r for r in Report}
 _ARITY = {"INIT": 0, "ADD": 2, "FIND": 1, "MAP": 1}
-_CORE_OP = {"ADD": "add", "FIND": "find", "MAP": "map_query"}
 
 
 def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
-    """Parse a replay script: one command per line, `#` starts a comment."""
+    """Parse a replay script: one command per line, `#` starts a comment.
+
+    A command takes exactly its arity's worth of arguments; an `EXPECT
+    <REPORT>` clause is recognised only right after them, so an argument
+    may itself be spelled `EXPECT`.
+    """
     commands = []
     for lineno, raw in enumerate(_decode(text).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        op = tokens[0]
-        if op not in _ARITY:
+        op, *rest = tokens
+        arity = _ARITY.get(op)
+        if arity is None:
             raise ParseError(lineno, f"unknown command {op!r}")
-        rest = tokens[1:]
+        args, clause = rest[:arity], rest[arity:]
         expect = None
-        if len(rest) >= 2 and rest[-2] == "EXPECT":
-            name = rest[-1]
-            if name not in _REPORT_BY_NAME:
-                raise ParseError(lineno, f"unknown report {name!r}")
-            expect = _REPORT_BY_NAME[name]
-            rest = rest[:-2]
-        if op == "INIT" and expect is not None:
-            raise ParseError(lineno, "INIT takes no EXPECT clause")
-        if len(rest) != _ARITY[op]:
-            raise ParseError(
-                lineno, f"{op} takes {_ARITY[op]} argument(s), got {len(rest)}"
-            )
-        _check_tokens(lineno, rest)
-        commands.append(ReplayCommand(lineno, op, tuple(rest), expect))
+        if len(clause) == 2 and clause[0] == "EXPECT":
+            try:
+                expect = Report(clause[1])
+            except ValueError:
+                raise ParseError(lineno, f"unknown report {clause[1]!r}") from None
+            if op == "INIT":
+                raise ParseError(lineno, "INIT takes no EXPECT clause")
+        elif len(rest) != arity:
+            raise ParseError(lineno, f"{op} takes {arity} argument(s), got {len(rest)}")
+        _check_tokens(lineno, args)
+        commands.append(ReplayCommand(lineno, op, tuple(args), expect))
     return commands
 
 
@@ -199,21 +192,19 @@ def run_replay(commands: list[ReplayCommand]) -> tuple[AllocationState, list[str
 
     Each command yields one report line `<lineNo> <REPORT> [payload]` with
     set payloads rendered in sorted order. An EXPECT mismatch stops the run.
+    The core operations are bound when the run starts, so wrappers placed
+    on `core` before the call see every command.
     """
+    ops = {"INIT": lambda _: OpOutcome(core.init(), Report.OK), "ADD": core.add,
+           "FIND": core.find, "MAP": core.map_query}
     state = core.init()
     lines: list[str] = []
     for cmd in commands:
-        if cmd.op == "INIT":
-            state, report, payload = core.init(), Report.OK, None
-        else:
-            # Looked up on each call, so wrappers placed on `core` see it.
-            state, report, payload = getattr(core, _CORE_OP[cmd.op])(state, *cmd.args)
+        state, report, payload = ops[cmd.op](state, *cmd.args)
+        if isinstance(payload, frozenset):
+            payload = ",".join(sorted(payload))
         text = f"{cmd.line} {report.value}"
-        if isinstance(payload, str):
-            text += f" {payload}"
-        elif isinstance(payload, frozenset) and payload:
-            text += " " + ",".join(sorted(payload))
-        lines.append(text)
+        lines.append(f"{text} {payload}" if payload else text)
         if cmd.expect is not None and report != cmd.expect:
             raise ExpectationFailed(cmd.line, cmd.expect, report, lines)
     return state, lines

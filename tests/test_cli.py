@@ -311,6 +311,16 @@ class TestAllocate:
         assert_one_line_usage_error(code, err)
         assert "more than once" in err
 
+    def test_empty_name_list(self, capsys):
+        code, out, err = run(
+            capsys,
+            "allocate", "--input", OBSERVATIONS, "--at", "1",
+            "--resources", ",", "--workloads", "W1",
+        )
+        assert out == ""
+        assert_one_line_usage_error(code, err)
+        assert err == "error: --resources must list at least one name\n"
+
     def test_overflowing_cost(self, capsys, tmp_path):
         path = tmp_path / "steep.csv"
         path.write_text("resource,workload,w,r\nR1,W1,1,10\nR1,W1,2,20\nR1,W1,3,30\n")

@@ -202,6 +202,12 @@ def test_build_cost_matrix_missing_model():
         matcher.build_cost_matrix({}, ["R1"], ["W1"], 0.0)
 
 
+def test_build_cost_matrix_repeated_name():
+    model = RegressionModel(1.0, 0.0, 0.0, 2)
+    with pytest.raises(ValueError, match="duplicate resource or workload names"):
+        matcher.build_cost_matrix({("R1", "W1"): model}, ["R1", "R1"], ["W1"], 0.0)
+
+
 @pytest.mark.parametrize("at", [1e308, -1e308])
 def test_build_cost_matrix_overflowing_prediction(at):
     models = {
@@ -219,6 +225,16 @@ def test_assign_diagonal():
     result = matcher.assign(costs_of(grid))
     assert result.marks == {(0, 0), (1, 1), (2, 2)}
     assert result.total_cost() == 0
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [CostMatrix((), ("W1",), ()), CostMatrix(("R1",), (), ((),))],
+    ids=["0x1", "1x0"],
+)
+def test_assign_empty_side(costs):
+    result = matcher.assign(costs)
+    assert result == AssignmentMatrix(costs.resources, costs.workloads, frozenset(), costs)
 
 
 def test_total_cost_is_correctly_rounded():

@@ -68,6 +68,11 @@ class TestParseObservations:
     def test_accepts_bytes(self):
         assert trace_io.parse_observations(b"resource,workload,w,r\n") == {}
 
+    def test_empty_input_misses_its_header(self):
+        with pytest.raises(trace_io.ParseError) as err:
+            trace_io.parse_observations(b"")
+        assert str(err.value) == "line 1: missing header"
+
     def test_invalid_utf8_names_its_line(self):
         with pytest.raises(trace_io.ParseError) as err:
             trace_io.parse_observations(b"resource,workload,w,r\nR1,W\xff,1,2\n")
@@ -167,20 +172,49 @@ class TestParseReplay:
         assert commands[1].line == 3
 
     def test_unknown_command(self):
-        with pytest.raises(trace_io.ParseError):
+        with pytest.raises(trace_io.ParseError, match="unknown command 'DELETE'"):
             trace_io.parse_replay("DELETE Res1\n")
 
     def test_bad_report_name(self):
-        with pytest.raises(trace_io.ParseError):
+        with pytest.raises(trace_io.ParseError, match="unknown report 'Maybe'"):
             trace_io.parse_replay("FIND Res1 EXPECT Maybe\n")
 
     def test_wrong_arity(self):
-        with pytest.raises(trace_io.ParseError):
+        with pytest.raises(trace_io.ParseError, match=r"ADD takes 2 argument\(s\), got 1"):
             trace_io.parse_replay("ADD Res1\n")
 
     def test_init_takes_no_expect(self):
-        with pytest.raises(trace_io.ParseError):
+        with pytest.raises(trace_io.ParseError, match="INIT takes no EXPECT clause"):
             trace_io.parse_replay("INIT EXPECT OK\n")
+
+    def test_argument_spelled_expect(self):
+        # The clause is recognised only after the command's arguments.
+        commands = trace_io.parse_replay("ADD EXPECT OK\n")
+        assert commands == [trace_io.ReplayCommand(1, "ADD", ("EXPECT", "OK"))]
+        state, lines = trace_io.run_replay(commands)
+        assert state.allocation == {"EXPECT": "OK"}
+        assert lines == ["1 OK"]
+
+    def test_clause_after_an_argument_spelled_expect(self):
+        commands = trace_io.parse_replay("ADD EXPECT W1 EXPECT OK\n")
+        assert commands == [
+            trace_io.ReplayCommand(1, "ADD", ("EXPECT", "W1"), core.Report.OK)
+        ]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("INIT EXPECT Maybe", "unknown report 'Maybe'"),
+            # No clause follows the two arguments, so all three tokens count.
+            ("ADD Res1 EXPECT OK", "ADD takes 2 argument(s), got 3"),
+            ("MAP W1 EXPECT", "MAP takes 1 argument(s), got 2"),
+            ("ADD R,1 W1", "token may not contain whitespace or commas: 'R,1'"),
+        ],
+    )
+    def test_error_reasons(self, line, reason):
+        with pytest.raises(trace_io.ParseError) as err:
+            trace_io.parse_replay(f"INIT\n{line} # comment\n")
+        assert (err.value.line, err.value.reason) == (2, reason)
 
 
 class TestRunReplay:
@@ -226,6 +260,21 @@ class TestRunReplay:
         assert err.value.line == 3
         assert err.value.report_lines == ["1 OK", "2 OK", "3 AlreadyMapped"]
 
+    def test_wrappers_placed_on_core_see_every_command(self, monkeypatch):
+        calls = []
+        for name in ("add", "find", "map_query"):
+            def counting(*args, _op=getattr(core, name), _name=name):
+                calls.append(_name)
+                return _op(*args)
+            monkeypatch.setattr(core, name, counting)
+        commands = trace_io.parse_replay(
+            "INIT\nADD R W\nFIND R\nADD R W\nMAP W\nINIT\nFIND R\nMAP W\n"
+        )
+        _, lines = trace_io.run_replay(commands)
+        assert calls == ["add", "find", "add", "map_query", "find", "map_query"]
+        assert lines == ["1 OK", "2 OK", "3 OK W", "4 AlreadyMapped", "5 OK R",
+                         "6 OK", "7 NotMapped", "8 OK"]
+
     def test_report_values_closed(self):
         commands = trace_io.parse_replay(
             "INIT\nADD R W\nADD R W\nFIND R\nFIND X\nMAP W\nMAP Z\n"
@@ -251,6 +300,10 @@ class TestSnapshots:
             '{"allocation":{"Res1":"Cloudworkload3",'
             '"Res2":"Cloudworkload2","Res3":"Cloudworkload1"}}\n'
         )
+
+    def test_invalid_utf8_snapshot(self):
+        with pytest.raises(trace_io.SnapshotError, match="invalid UTF-8"):
+            trace_io.read_state(b'{"allocation":{"R\xff":"W1"}}\n')
 
     def test_read_inverse_of_write(self):
         state = AllocationState((("R1", "W1"), ("R2", "W1")))

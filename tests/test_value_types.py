@@ -1,6 +1,8 @@
 """The package's value types: read-only fields and validating constructors."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -36,6 +38,22 @@ def test_fields_are_read_only(value, fields):
     for field in fields + ["not_a_field"]:
         with pytest.raises(AttributeError):
             setattr(value, field, None)
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize(
+    "value, fields", VALUES, ids=[type(value).__name__ for value, _ in VALUES]
+)
+def test_copies_equal_the_original(value, fields, round_trip):
+    twin = round_trip(value)
+    assert type(twin) is type(value)
+    assert twin == value
+    for field in fields:
+        assert getattr(twin, field) == getattr(value, field)
 
 
 @pytest.mark.parametrize(
