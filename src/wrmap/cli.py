@@ -6,7 +6,10 @@ written. Errors go to stderr only, one line each; stdout carries just the
 tables and transcripts, byte-deterministic for identical inputs, each
 built whole and then written by `_emit`.
 
-Every subcommand runs on the standard library alone.
+Every subcommand runs on the standard library alone. `replay` needs only
+`trace_io` and `core`; the commands that fit or match import `regression`
+and `matcher` when they run, and turn their errors into `_DomainError`
+with the same message.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ import os
 import re
 import sys
 from math import isfinite
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import matcher, regression, trace_io
+from . import trace_io
+
+if TYPE_CHECKING:
+    from .matcher import AssignmentMatrix
 
 MARK = "✓"
 
@@ -92,26 +98,28 @@ def _known_pair(datasets, text: str) -> tuple[str, str]:
     return known[0]
 
 
-# The message prefix for each error `regression.fit` raises.
-_FIT_ERRORS = {
-    regression.SingularDesign: "singular design for",
-    regression.InsufficientData: "insufficient data for",
-    regression.NumericOverflow: "numeric overflow fitting",
-}
-
-
 def _fit_all(datasets, pairs):
+    from . import regression
+
+    # The message prefix for each error `regression.fit` raises.
+    prefixes = {
+        regression.SingularDesign: "singular design for",
+        regression.InsufficientData: "insufficient data for",
+        regression.NumericOverflow: "numeric overflow fitting",
+    }
     models = {}
     for pair in pairs:
         try:
             models[pair] = regression.fit(datasets[pair])
-        except tuple(_FIT_ERRORS) as exc:
-            error = type(exc)
-            raise error(f"{_FIT_ERRORS[error]} {pair[0]}:{pair[1]}") from exc
+        except tuple(prefixes) as exc:
+            message = f"{prefixes[type(exc)]} {pair[0]}:{pair[1]}"
+            raise _DomainError(message) from exc
     return models
 
 
 def cmd_fit(args) -> int:
+    from . import regression
+
     datasets = trace_io.parse_observations(_read_file(args.input))
     pairs = sorted(datasets) if args.all else [_known_pair(datasets, args.pair)]
     models = _fit_all(datasets, pairs)
@@ -123,7 +131,7 @@ def cmd_fit(args) -> int:
         except regression.ConstantResponse:
             r2 = ""
         except regression.NumericOverflow as exc:
-            raise regression.NumericOverflow(
+            raise _DomainError(
                 f"numeric overflow in R-squared for {pair[0]}:{pair[1]}"
             ) from exc
         fields = (model.mu0_hat, model.mu1_hat, model.ssr, r2, model.n)
@@ -133,6 +141,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_residuals(args) -> int:
+    from . import regression
+
     datasets = trace_io.parse_observations(_read_file(args.input))
     pair = _known_pair(datasets, args.pair)
     data = datasets[pair]
@@ -146,7 +156,7 @@ def cmd_residuals(args) -> int:
     return 0
 
 
-def render_assignment(m: matcher.AssignmentMatrix) -> str:
+def render_assignment(m: AssignmentMatrix) -> str:
     """Check-mark table: header row of workloads, one labeled row per resource."""
     label_width = max((len(r) for r in m.resources), default=0)
     blank = [" " * len(w) for w in m.workloads]
@@ -189,6 +199,8 @@ def _demand(text: str) -> float:
 
 
 def cmd_allocate(args) -> int:
+    from . import matcher
+
     datasets = trace_io.parse_observations(_read_file(args.input))
     resources = _parse_names(args.resources, "--resources")
     workloads = _parse_names(args.workloads, "--workloads")
@@ -198,8 +210,11 @@ def cmd_allocate(args) -> int:
         r, w = missing[0]
         raise _DomainError(f"no observations for pair {r}:{w}")
     models = _fit_all(datasets, needed)
-    costs = matcher.build_cost_matrix(models, resources, workloads, args.at)
-    assignment = matcher.assign(costs)
+    try:
+        costs = matcher.build_cost_matrix(models, resources, workloads, args.at)
+        assignment = matcher.assign(costs)
+    except matcher.MatcherError as exc:
+        raise _DomainError(str(exc)) from exc
     table = render_assignment(assignment)
     if args.snapshot:
         state = matcher.matrix_to_state(assignment)
@@ -300,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (_UsageError, trace_io.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_DomainError, regression.RegressionError, matcher.MatcherError) as exc:
+    except _DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,14 +11,18 @@ state" by plain structural equality. An outcome is a named tuple
 Resource and workload names are tokens, defined once by `TOKEN`: both
 `check_token` and the observations row pattern in `trace_io` match it.
 
-Cost model: a state is a `__slots__` object holding one resource ->
-workload dict, validated once when built from outside pairs, and an index
-derived from it that maps each workload to the frozenset of its resources.
-`add` checks only its two new tokens, then copies the dict with one more
-entry and the index, which has at most W entries (one per workload), with
-one entry replaced by a union (copy on write: n adds cost O(n^2), at C
-speed); `find` and `map_query` are one dict lookup each. `pairs` sorts on
-demand.
+Cost model: a state is a `__slots__` object holding its resource ->
+workload mapping in two dicts with disjoint keys, a `_base` that states
+share and never change and a small `_recent`, plus an index derived from
+them that maps each workload to the frozenset of its resources. The
+mapping is validated once when built from outside pairs. `add` checks
+only its two new tokens and copies `_recent` with one more entry; once
+`len(_recent)**2 > len(_base)` it folds `_recent` into a new base, so n
+adds rebuild the base about 2*sqrt(n) times and each add costs amortised
+O(sqrt(n)) on the mapping. It also copies the index, which has at most W
+entries (one per workload), with one entry replaced by a union. `find`
+is two dict lookups and `map_query` one. Equality, hashing, `pairs`,
+`allocation` and `len` read the merged mapping; `pairs` sorts on demand.
 """
 
 from __future__ import annotations
@@ -60,15 +64,16 @@ class AllocationState:
 
     Resources are unique (the allocation is a function); several resources
     may carry the same workload. Equality, hashing and `pairs` do not depend
-    on the order in which the pairs were given.
+    on the order in which the pairs were given, nor on how the mapping is
+    split between `_base` and `_recent`.
 
-    Beside the allocation dict the state keeps `_resources_of`, the inverse
-    index workload -> frozenset of resources. It is derived from the dict,
-    so equality, hashing, `pairs`, `allocation` and `available_resources`
-    read only the dict and ignore it.
+    Beside the mapping the state keeps `_resources_of`, the inverse index
+    workload -> frozenset of resources. It is derived from the mapping, so
+    equality, hashing, `pairs`, `allocation` and `available_resources`
+    ignore it.
     """
 
-    __slots__ = ("_allocation", "_resources_of")
+    __slots__ = ("_base", "_recent", "_resources_of")
 
     def __init__(self, pairs: Iterable[tuple[str, str]] = ()) -> None:
         allocation: dict[str, str] = {}
@@ -81,32 +86,37 @@ class AllocationState:
         groups: dict[str, list[str]] = {}
         for resource, workload in allocation.items():
             groups.setdefault(workload, []).append(resource)
-        self._allocation = allocation
+        self._base = allocation
+        self._recent = {}
         self._resources_of = {w: frozenset(rs) for w, rs in groups.items()}
+
+    def _merged(self) -> dict[str, str]:
+        """The whole mapping, in the order its pairs were given or added."""
+        return {**self._base, **self._recent} if self._recent else self._base
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._allocation == other._allocation
+        return self._merged() == other._merged()
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._allocation.items()))
+        return hash(frozenset(self._merged().items()))
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """The (resource, workload) pairs sorted by resource."""
-        return tuple(sorted(self._allocation.items()))
+        return tuple(sorted(self._merged().items()))
 
     @property
     def allocation(self) -> dict[str, str]:
-        return dict(self._allocation)
+        return dict(self._merged())
 
     @property
     def available_resources(self) -> frozenset[str]:
-        return frozenset(self._allocation)
+        return frozenset(self._merged())
 
     def __len__(self) -> int:
-        return len(self._allocation)
+        return len(self._base) + len(self._recent)
 
 
 Payload = Union[None, str, frozenset]
@@ -133,12 +143,19 @@ def add(state: AllocationState, resource: str, workload: str) -> OpOutcome:
     """
     check_token(resource)
     check_token(workload)
-    if resource in state._allocation:
+    base = state._base
+    if resource in state._recent or resource in base:
         return OpOutcome(state, Report.ALREADY_MAPPED)
-    # Only the two new tokens need checking, so the grown dict and index go
-    # onto a bare state directly instead of through the validating constructor.
+    # Only the two new tokens need checking, so the grown mapping and index
+    # go onto a bare state directly instead of through the validating
+    # constructor. The base is shared until `_recent` outgrows its square
+    # root, and then rebuilt with `_recent` folded in.
+    recent = {**state._recent, resource: workload}
+    if len(recent) ** 2 > len(base):
+        base, recent = {**base, **recent}, {}
     grown = AllocationState.__new__(AllocationState)
-    grown._allocation = {**state._allocation, resource: workload}
+    grown._base = base
+    grown._recent = recent
     index = state._resources_of.copy()
     index[workload] = index.get(workload, frozenset()).union((resource,))
     grown._resources_of = index
@@ -151,7 +168,7 @@ def find(state: AllocationState, resource: str) -> OpOutcome:
     Fails with NotMapped when the resource is unknown. Never changes state.
     """
     check_token(resource)
-    workload = state._allocation.get(resource)
+    workload = state._recent.get(resource) or state._base.get(resource)
     if workload is None:
         return OpOutcome(state, Report.NOT_MAPPED)
     return OpOutcome(state, Report.OK, workload)

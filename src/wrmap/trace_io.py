@@ -24,11 +24,13 @@ from __future__ import annotations
 import json
 import re
 from math import isfinite
-from typing import Iterable, NamedTuple, NoReturn, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Optional, Union
 
 from . import core
 from .core import TOKEN, AllocationState, OpOutcome, Report, check_token
-from .regression import Dataset
+
+if TYPE_CHECKING:
+    from .regression import Dataset
 
 OBSERVATIONS_HEADER = "resource,workload,w,r"
 
@@ -115,6 +117,8 @@ def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset
     line grammar and the column layout are described in the module
     docstring.
     """
+    from .regression import Dataset
+
     content = _decode(text)
     lines = content.split("\n")
     if lines and lines[-1] == "":
@@ -160,11 +164,14 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
 
     A command takes exactly its arity's worth of arguments; an `EXPECT
     <REPORT>` clause is recognised only right after them, so an argument
-    may itself be spelled `EXPECT`.
+    may itself be spelled `EXPECT`. `str.split()` already yields
+    non-empty tokens free of whitespace, so the arguments are checked
+    against `TOKEN` only on a line whose code holds a comma.
     """
     commands = []
     for lineno, raw in enumerate(_decode(text).split("\n"), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        code = raw.split("#", 1)[0]
+        tokens = code.split()
         if not tokens:
             continue
         op, *rest = tokens
@@ -182,7 +189,8 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
                 raise ParseError(lineno, "INIT takes no EXPECT clause")
         elif len(rest) != arity:
             raise ParseError(lineno, f"{op} takes {arity} argument(s), got {len(rest)}")
-        _check_tokens(lineno, args)
+        if "," in code:
+            _check_tokens(lineno, args)
         commands.append(ReplayCommand(lineno, op, tuple(args), expect))
     return commands
 
@@ -194,15 +202,24 @@ def run_replay(commands: list[ReplayCommand]) -> tuple[AllocationState, list[str
     set payloads rendered in sorted order. An EXPECT mismatch stops the run.
     The core operations are bound when the run starts, so wrappers placed
     on `core` before the call see every command.
+
+    A workload's set is unchanged, and the same object, until an ADD grows
+    it, so the run keeps each workload's last set and its text and renders
+    a set again only when MAP returns a different object.
     """
     ops = {"INIT": lambda _: OpOutcome(core.init(), Report.OK), "ADD": core.add,
            "FIND": core.find, "MAP": core.map_query}
     state = core.init()
     lines: list[str] = []
+    rendered: dict[str, tuple[frozenset, str]] = {}  # workload -> (set, text)
     for cmd in commands:
         state, report, payload = ops[cmd.op](state, *cmd.args)
         if isinstance(payload, frozenset):
-            payload = ",".join(sorted(payload))
+            last, shown = rendered.get(cmd.args[0], (None, ""))
+            if payload is not last:
+                shown = ",".join(sorted(payload))
+                rendered[cmd.args[0]] = payload, shown
+            payload = shown
         text = f"{cmd.line} {report.value}"
         lines.append(f"{text} {payload}" if payload else text)
         if cmd.expect is not None and report != cmd.expect:

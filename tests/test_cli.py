@@ -370,10 +370,7 @@ class TestReplay:
             "replay", "--script", self.SCRIPT, "--snapshot-out", str(snapshot),
         )
         assert code == 0
-        assert snapshot.read_text(encoding="utf-8") == (
-            '{"allocation":{"Res1":"Cloudworkload3",'
-            '"Res2":"Cloudworkload2","Res3":"Cloudworkload1"}}\n'
-        )
+        assert snapshot.read_bytes() == (DATA / "example_build.json").read_bytes()
 
     def test_unwritable_snapshot_out(self, capsys, tmp_path):
         for path in unwritable_paths(tmp_path):

@@ -1,3 +1,8 @@
+import copy
+import math
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -291,3 +296,67 @@ def test_rejected_add_returns_the_same_state():
 def test_state_has_no_instance_dict():
     for state in (AllocationState([("R1", "W1")]), build_example_state()):
         assert not hasattr(state, "__dict__")
+
+
+# A state keeps its mapping as a shared `_base` plus a small `_recent`,
+# folded into a new base once `len(_recent)**2 > len(_base)`. A step
+# rebuilt the base exactly when its state's `_base` is not the one of the
+# state before it.
+
+
+def test_seeded_script_across_many_folds_matches_a_plain_dict():
+    rng = random.Random(2014)
+    state, model = core.init(), {}
+    rebuilds = longest = 0
+    for _ in range(3000):
+        resource, workload = f"R{rng.randrange(1500)}", f"W{rng.randrange(12)}"
+        step = rng.choice([("add", resource, workload), ("add", resource, workload),
+                           ("find", resource), ("map", workload)])
+        outcome = run_step(state, step)
+        assert (outcome.report, outcome.payload) == model_step(model, step)
+        rebuilds += outcome.state._base is not state._base
+        state = outcome.state
+        longest = max(longest, len(state._recent))
+        assert len(state) == len(model)
+    assert state.allocation == model
+    assert list(state.allocation) == list(model)  # in the order of the adds
+    assert rebuilds > 40
+    assert longest > 20
+
+
+def test_states_grown_by_add_equal_states_built_whole():
+    pairs = [(f"R{i:03d}", f"W{i % 7}") for i in range(150)]
+    random.Random(7).shuffle(pairs)
+    grown = core.init()
+    for k, (resource, workload) in enumerate(pairs, start=1):
+        grown = core.add(grown, resource, workload).state
+        built = AllocationState(sorted(pairs[:k]))
+        snapshot = trace_io.write_state(built)
+        read = trace_io.read_state(snapshot)
+        copies = [copy.copy(grown), copy.deepcopy(grown),
+                  pickle.loads(pickle.dumps(grown))]
+        for state in [grown, built, read, *copies]:
+            assert state == grown == built
+            assert hash(state) == hash(built)
+            assert state.pairs == built.pairs == tuple(sorted(pairs[:k]))
+            assert state.allocation == dict(pairs[:k])
+            assert state.available_resources == {r for r, _ in pairs[:k]}
+            assert len(state) == k
+            assert trace_io.write_state(state) == snapshot
+            assert core.find(state, resource).payload == workload
+            assert core.map_query(state, workload).payload == scan(dict(pairs[:k]), workload)
+    assert grown != core.add(grown, "R999", "W0").state
+
+
+def test_adds_rebuild_the_whole_mapping_about_sqrt_n_times():
+    n = 10_000
+    state = core.init()
+    rebuilds = longest = 0
+    for i in range(n):
+        grown = core.add(state, f"R{i}", f"W{i % 40}").state
+        rebuilds += grown._base is not state._base
+        state = grown
+        longest = max(longest, len(state._recent))
+    assert rebuilds <= 3 * math.sqrt(n)
+    assert longest <= math.isqrt(n) + 1
+    assert len(state) == n

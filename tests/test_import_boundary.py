@@ -1,7 +1,9 @@
 """wrmap runs on the standard library and stays light to import: neither
 `import wrmap` nor any subcommand loads numpy, scipy, `dataclasses` or
 `inspect` (which `dataclasses` imports); the value types are tuples and
-`__slots__` classes instead.
+`__slots__` classes instead. Within the package, `import wrmap` and
+`replay` load neither `wrmap.matcher` nor `wrmap.regression`, and `fit`
+and `residuals` do not load `wrmap.matcher`.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported all of them.
@@ -21,7 +23,8 @@ import contextlib, io, json, sys
 
 def loaded():
     heavy = {"numpy", "scipy", "dataclasses", "inspect"}
-    return sorted({m.split(".")[0] for m in sys.modules} & heavy)
+    lazy = {"wrmap.matcher", "wrmap.regression"}
+    return sorted(({m.split(".")[0] for m in sys.modules} & heavy) | (lazy & set(sys.modules)))
 
 import wrmap
 runs = {"import wrmap": [0, loaded()]}
@@ -55,13 +58,15 @@ def test_no_command_loads_heavy_modules():
         ("allocate", ["allocate", "--input", observations, "--at", "1",
                       "--resources", "R1", "--workloads", "W1,W2"]),
     ]
+    # The steps run in this order in one process, so each step's list also
+    # holds what the steps before it loaded.
     runs = json.loads(run_python("-c", CLI_SCRIPT, json.dumps(steps)))
     assert runs == {
         "import wrmap": [0, []],
         "replay": [0, []],
-        "fit": [0, []],
-        "residuals": [0, []],
-        "allocate": [0, []],
+        "fit": [0, ["wrmap.regression"]],
+        "residuals": [0, ["wrmap.regression"]],
+        "allocate": [0, ["wrmap.matcher", "wrmap.regression"]],
     }
 
 
@@ -72,8 +77,10 @@ import wrmap
 from wrmap import matcher
 from wrmap import assign, matcher as again
 assert again is matcher and assign is matcher.assign
+assert len(set(wrmap.__all__)) == len(wrmap.__all__) == 22
 for name in wrmap.__all__:
-    getattr(wrmap, name)
+    value = getattr(wrmap, name)
+    assert value.__module__.startswith("wrmap."), name
 assert not {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}
 try:
     wrmap.no_such_name

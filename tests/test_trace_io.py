@@ -126,11 +126,15 @@ class TestParseObservations:
     def test_token_class_agrees_with_check_token(self):
         # Both check_token and the row pattern must accept a one-character
         # token exactly when the spec does: unless it is whitespace
-        # (str.isspace) or a comma, on every code point.
+        # (str.isspace) or a comma, on every code point. parse_replay
+        # checks tokens only on lines with a comma, which is sound because
+        # str.split() splits at exactly the whitespace that TOKEN excludes.
         disagree = []
         for code in range(sys.maxunicode + 1):
             ch = chr(code)
             spec = not (ch.isspace() or ch == ",")
+            if len(f"a{ch}b".split()) != (2 if ch.isspace() else 1):
+                disagree.append(hex(code))
             try:
                 check_token(ch)
                 checked = True
@@ -187,6 +191,13 @@ class TestParseReplay:
         with pytest.raises(trace_io.ParseError, match="INIT takes no EXPECT clause"):
             trace_io.parse_replay("INIT EXPECT OK\n")
 
+    def test_comma_in_a_comment_parses(self):
+        commands = trace_io.parse_replay("ADD R1 W1 # R,1\nMAP W1 EXPECT OK #,\n")
+        assert commands == [
+            trace_io.ReplayCommand(1, "ADD", ("R1", "W1")),
+            trace_io.ReplayCommand(2, "MAP", ("W1",), core.Report.OK),
+        ]
+
     def test_argument_spelled_expect(self):
         # The clause is recognised only after the command's arguments.
         commands = trace_io.parse_replay("ADD EXPECT OK\n")
@@ -209,6 +220,12 @@ class TestParseReplay:
             ("ADD Res1 EXPECT OK", "ADD takes 2 argument(s), got 3"),
             ("MAP W1 EXPECT", "MAP takes 1 argument(s), got 2"),
             ("ADD R,1 W1", "token may not contain whitespace or commas: 'R,1'"),
+            ("ADD R1 W,1", "token may not contain whitespace or commas: 'W,1'"),
+            ("FIND , EXPECT OK", "token may not contain whitespace or commas: ','"),
+            # A comma outside the arguments fails the check named first.
+            ("AD,D R1 W1", "unknown command 'AD,D'"),
+            ("FIND R1 EXPECT O,K", "unknown report 'O,K'"),
+            ("ADD R1 W1 W,2", "ADD takes 2 argument(s), got 3"),
         ],
     )
     def test_error_reasons(self, line, reason):
@@ -250,6 +267,18 @@ class TestRunReplay:
         )
         _, lines = trace_io.run_replay(commands)
         assert lines[-1] == "4 OK a,b"
+
+    def test_map_text_follows_every_change_of_the_set(self):
+        # MAP text is reused only while the workload's set is the same
+        # object: an ADD to it, an ADD elsewhere and INIT must all show.
+        commands = trace_io.parse_replay(
+            "ADD b W\nMAP W\nMAP W\nADD a W\nADD c V\nMAP W\nMAP V\n"
+            "ADD d X\nMAP W\nINIT\nMAP W\nADD e W\nMAP W\nMAP W\n"
+        )
+        _, lines = trace_io.run_replay(commands)
+        assert lines == ["1 OK", "2 OK b", "3 OK b", "4 OK", "5 OK", "6 OK a,b",
+                         "7 OK c", "8 OK", "9 OK a,b", "10 OK", "11 OK", "12 OK",
+                         "13 OK e", "14 OK e"]
 
     def test_expectation_failure_stops(self):
         commands = trace_io.parse_replay(
