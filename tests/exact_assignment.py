@@ -1,9 +1,22 @@
-"""The tests' exact assignment oracle: a subset DP over Fractions."""
+"""The tests' exact assignment oracle, a subset DP over Fractions, and its fixtures."""
 
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
+
+from wrmap.matcher import CostMatrix
+
+# Checked cells of the 7x7 reference matrix, 0-indexed (row, col).
+REFERENCE_MARKS = {(0, 1), (1, 2), (2, 4), (3, 0), (4, 3), (5, 5), (6, 6)}
+
+
+def costs_of(grid):
+    """A CostMatrix of the grid, with rows R000... and columns W000..."""
+    grid = np.asarray(grid, dtype=float)
+    names_r = tuple(f"R{i:03d}" for i in range(grid.shape[0]))
+    names_w = tuple(f"W{j:03d}" for j in range(grid.shape[1]))
+    return CostMatrix(names_r, names_w, tuple(map(tuple, grid.tolist())))
 
 
 def exact(grid):

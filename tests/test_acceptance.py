@@ -12,10 +12,10 @@ import numpy as np
 
 from wrmap import cli, core, matcher, regression, trace_io
 from wrmap.core import AllocationState, Report
-from wrmap.matcher import AssignmentMatrix, CostMatrix
-from wrmap.regression import Dataset
+from wrmap.matcher import AssignmentMatrix
 
-from exact_assignment import exact, exact_optima
+from exact_assignment import REFERENCE_MARKS, costs_of, exact, exact_optima
+from ols_oracle import THREE_POINTS, grid_search_ssr, random_dataset
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,13 +84,8 @@ def test_criterion_3_ols_oracle_equivalence():
     rng = np.random.default_rng(3)
     failures = 0
     for _ in range(1000):
-        n = int(rng.integers(2, 21))
-        while True:
-            ws = rng.uniform(-10, 10, n)
-            if np.ptp(ws) > 1e-3:
-                break
-        rs = rng.uniform(-10, 10, n)
-        data = Dataset.from_pairs(zip(ws, rs))
+        data = random_dataset(rng, min_spread=1e-3)
+        ws, rs, n = np.array(data.ws), np.array(data.rs), data.n
         model = regression.fit(data)
         res = regression.residuals(model, data)
         if abs(math.fsum(res)) > 1e-9 * n * max(abs(r) for r in rs):
@@ -118,8 +113,7 @@ def test_criterion_3_ols_oracle_equivalence():
 
 
 def test_criterion_4_hand_derived_fit_with_grid_oracle():
-    data = Dataset.from_pairs([(1, 2), (2, 3), (3, 5)])
-    model = regression.fit(data)
+    model = regression.fit(THREE_POINTS)
     ok = abs(model.mu1_hat - 1.5) <= 1e-12 * 1.5
     ok &= abs(model.mu0_hat - 1 / 3) <= 1e-12 * (1 / 3)
     ok &= abs(model.ssr - 1 / 6) <= 1e-12 * (1 / 6)
@@ -127,38 +121,11 @@ def test_criterion_4_hand_derived_fit_with_grid_oracle():
     # Independent oracle: brute-force SSR over the coefficient grid
     # [-5, 5]^2 at step 1e-3, evaluated directly per grid point.
     step = 1e-3
-    values = np.arange(10001) * step - 5.0
-    ws = np.array([o.w for o in data.observations])
-    rs = np.array([o.r for o in data.observations])
-    best = math.inf
-    best_point = None
-    chunk = 500
-    for start in range(0, values.size, chunk):
-        mu1 = values[start : start + chunk][:, None]
-        mu0 = values[None, :]
-        total = np.zeros((mu1.shape[0], values.size))
-        for w, r in zip(ws, rs):
-            total += (r - mu0 - mu1 * w) ** 2
-        idx = np.unravel_index(np.argmin(total), total.shape)
-        if total[idx] < best:
-            best = float(total[idx])
-            best_point = (float(mu0[0, idx[1]]), float(mu1[idx[0], 0]))
-    ok &= abs(best_point[0] - model.mu0_hat) <= step + 1e-9
-    ok &= abs(best_point[1] - model.mu1_hat) <= step + 1e-9
+    (mu0, mu1), best = grid_search_ssr(THREE_POINTS, step=step)
+    ok &= abs(mu0 - model.mu0_hat) <= step + 1e-9
+    ok &= abs(mu1 - model.mu1_hat) <= step + 1e-9
     ok &= model.ssr <= best + 1e-12
     report("criterion 4: hand-derived 3-point fit confirmed by grid search", ok)
-
-
-REFERENCE_MARKS = {(0, 1), (1, 2), (2, 4), (3, 0), (4, 3), (5, 5), (6, 6)}
-
-
-def _square_costs(grid):
-    n = len(grid)
-    return CostMatrix(
-        tuple(f"R{i}" for i in range(n)),
-        tuple(f"W{j}" for j in range(n)),
-        tuple(tuple(float(v) for v in row) for row in grid),
-    )
 
 
 def test_criterion_5_reference_matrix_reproduction():
@@ -166,7 +133,7 @@ def test_criterion_5_reference_matrix_reproduction():
         [0.0 if (i, j) in REFERENCE_MARKS else 1.0 for j in range(7)]
         for i in range(7)
     ]
-    result = matcher.assign(_square_costs(grid))
+    result = matcher.assign(costs_of(grid))
     _, count, marks = exact_optima(grid)
     ok = result.marks == REFERENCE_MARKS and count == 1 and marks == REFERENCE_MARKS
     report(
@@ -180,7 +147,7 @@ def test_criterion_6_assignment_optimality():
     for _ in range(200):
         n = int(rng.integers(1, 8))
         grid = rng.uniform(-10, 10, (n, n))
-        result = matcher.assign(_square_costs(grid.tolist()))
+        result = matcher.assign(costs_of(grid))
         cost, best = exact(grid), exact_optima(grid)[0]
         total = sum(cost[i][j] for i, j in result.marks)
         if total != best or result.total_cost() != float(best):

@@ -9,7 +9,7 @@ from wrmap import core, matcher
 from wrmap.matcher import AssignmentMatrix, CostMatrix
 from wrmap.regression import RegressionModel
 
-from exact_assignment import exact, exact_optima
+from exact_assignment import REFERENCE_MARKS, costs_of, exact, exact_optima
 
 
 def permutation_optima(grid):
@@ -153,17 +153,6 @@ def reference_tie_break_marks(grid):
     return {(i, j) for i, j in enumerate(col_of[:n_res]) if j < n_wl}
 
 
-def costs_of(grid):
-    grid = np.asarray(grid, dtype=float)
-    names_r = tuple(f"R{i:03d}" for i in range(grid.shape[0]))
-    names_w = tuple(f"W{j:03d}" for j in range(grid.shape[1]))
-    return CostMatrix(names_r, names_w, tuple(map(tuple, grid.tolist())))
-
-
-# Checked cells of the 7x7 reference matrix, 0-indexed (row, col).
-REFERENCE_MARKS = {(0, 1), (1, 2), (2, 4), (3, 0), (4, 3), (5, 5), (6, 6)}
-
-
 def test_build_cost_matrix_constant():
     model = RegressionModel(2.0, 0.0, 0.0, 2)
     models = {(r, w): model for r in ["R1", "R2"] for w in ["W1", "W2"]}
@@ -220,6 +209,13 @@ def test_build_cost_matrix_overflowing_prediction(at):
     assert (info.value.resource, info.value.workload) == ("R1", "W2")
 
 
+@pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")])
+def test_build_cost_matrix_non_finite_demand(at):
+    model = RegressionModel(1.0, 2.0, 0.0, 2)
+    with pytest.raises(ValueError, match="^predictor value must be finite$"):
+        matcher.build_cost_matrix({("R1", "W1"): model}, ["R1"], ["W1"], at)
+
+
 def test_assign_diagonal():
     grid = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
     result = matcher.assign(costs_of(grid))
@@ -229,8 +225,8 @@ def test_assign_diagonal():
 
 @pytest.mark.parametrize(
     "costs",
-    [CostMatrix((), ("W1",), ()), CostMatrix(("R1",), (), ((),))],
-    ids=["0x1", "1x0"],
+    [CostMatrix((), (), ()), CostMatrix((), ("W1",), ()), CostMatrix(("R1",), (), ((),))],
+    ids=["0x0", "0x1", "1x0"],
 )
 def test_assign_empty_side(costs):
     result = matcher.assign(costs)

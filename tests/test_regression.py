@@ -8,33 +8,7 @@ from hypothesis import given, strategies as st
 from wrmap import regression
 from wrmap.regression import Dataset, Observation
 
-
-def grid_search_ssr(data, lo=-5.0, hi=5.0, step=1e-3):
-    """Brute-force SSR minimizer over a coefficient grid.
-
-    Independent of the closed form: evaluates the SSR surface directly at
-    every grid point (chunked so memory stays bounded).
-    """
-    values = np.arange(round((hi - lo) / step) + 1) * step + lo
-    ws = np.array([o.w for o in data.observations])
-    rs = np.array([o.r for o in data.observations])
-    best = math.inf
-    best_point = None
-    chunk = 500
-    for start in range(0, len(values), chunk):
-        mu1 = values[start : start + chunk][:, None]  # rows: slope
-        mu0 = values[None, :]  # cols: intercept
-        total = np.zeros((mu1.shape[0], values.size))
-        for w, r in zip(ws, rs):
-            total += (r - mu0 - mu1 * w) ** 2
-        idx = np.unravel_index(np.argmin(total), total.shape)
-        if total[idx] < best:
-            best = float(total[idx])
-            best_point = (float(mu0[0, idx[1]]), float(mu1[idx[0], 0]))
-    return best_point, best
-
-
-THREE_POINTS = Dataset.from_pairs([(1, 2), (2, 3), (3, 5)])
+from ols_oracle import THREE_POINTS, random_dataset
 
 
 def test_fit_exact_line():
@@ -42,21 +16,6 @@ def test_fit_exact_line():
     assert model.mu0_hat == pytest.approx(0.0, abs=1e-12)
     assert model.mu1_hat == pytest.approx(1.0, rel=1e-12)
     assert model.ssr == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fit_three_points_closed_form():
-    model = regression.fit(THREE_POINTS)
-    assert model.mu1_hat == pytest.approx(1.5, rel=1e-12)
-    assert model.mu0_hat == pytest.approx(1 / 3, rel=1e-12)
-    assert model.ssr == pytest.approx(1 / 6, rel=1e-12)
-
-
-def test_fit_three_points_grid_oracle():
-    (mu0, mu1), best = grid_search_ssr(THREE_POINTS, step=1e-2)
-    model = regression.fit(THREE_POINTS)
-    assert abs(mu0 - model.mu0_hat) <= 1e-2 + 1e-9
-    assert abs(mu1 - model.mu1_hat) <= 1e-2 + 1e-9
-    assert model.ssr <= best + 1e-9
 
 
 def test_fit_singular_design():
@@ -238,31 +197,6 @@ def test_diagnostics_sum_the_observations_in_order():
         assert regression.residuals(model, data) == res
         assert regression.ssr(model, data) == ssr
         assert regression.goodness_of_fit(model, data) == 1.0 - ssr / sst
-
-
-def random_dataset(rng):
-    n = int(rng.integers(2, 21))
-    while True:
-        ws = rng.uniform(-10, 10, n)
-        if np.ptp(ws) > 1e-6:
-            break
-    rs = rng.uniform(-10, 10, n)
-    return Dataset.from_pairs(zip(ws, rs))
-
-
-def test_normal_equations_random():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        data = random_dataset(rng)
-        model = regression.fit(data)
-        res = regression.residuals(model, data)
-        ws = [o.w for o in data.observations]
-        rs = [o.r for o in data.observations]
-        n = data.n
-        assert abs(math.fsum(res)) <= 1e-9 * n * max(abs(r) for r in rs)
-        assert abs(math.fsum(w * e for w, e in zip(ws, res))) <= 1e-9 * n * max(
-            abs(w * r) for w, r in zip(ws, rs)
-        )
 
 
 def test_minimality_random_perturbations():
