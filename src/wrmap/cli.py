@@ -148,10 +148,9 @@ def cmd_residuals(args) -> int:
     data = datasets[pair]
     model = _fit_all(datasets, [pair])[pair]
     lines = ["a,w,r,fitted,residual"]
-    rows = zip(data.ws, data.rs, regression.residuals(model, data))
-    for a, (w, r, residual) in enumerate(rows, start=1):
+    for a, (w, r) in enumerate(zip(data.ws, data.rs), start=1):
         fitted = regression.predict(model, w)
-        lines.append(_csv_row(args.precision, a, w, r, fitted, residual))
+        lines.append(_csv_row(args.precision, a, w, r, fitted, r - fitted))
     _emit(_transcript(lines))
     return 0
 

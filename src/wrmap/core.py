@@ -14,21 +14,23 @@ Resource and workload names are tokens, defined once by `TOKEN`: both
 Cost model: a state is a `__slots__` object holding its resource ->
 workload mapping in two dicts with disjoint keys, a `_base` that states
 share and never change and a small `_recent`, plus an index derived from
-them that maps each workload to the frozenset of its resources. The
+them that maps each workload to the sorted tuple of its resources. The
 mapping is validated once when built from outside pairs. `add` checks
 only its two new tokens and copies `_recent` with one more entry; once
 `len(_recent)**2 > len(_base)` it folds `_recent` into a new base, so n
 adds rebuild the base about 2*sqrt(n) times and each add costs amortised
-O(sqrt(n)) on the mapping. It also copies the index, which has at most W
-entries (one per workload), with one entry replaced by a union. `find`
-is two dict lookups and `map_query` one. Equality, hashing, `pairs`,
-`allocation` and `len` read the merged mapping; `pairs` sorts on demand.
+O(sqrt(n)) on the mapping. It also copies the index (at most W entries,
+one per workload) and inserts the new name into its workload's tuple of
+k names with `bisect`, O(W + k). `find` is two dict lookups and
+`map_query` one. Equality, hashing, `pairs`, `allocation` and `len` read
+the merged mapping; `pairs` sorts on demand.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Union
 
 
@@ -68,9 +70,9 @@ class AllocationState:
     split between `_base` and `_recent`.
 
     Beside the mapping the state keeps `_resources_of`, the inverse index
-    workload -> frozenset of resources. It is derived from the mapping, so
-    equality, hashing, `pairs`, `allocation` and `available_resources`
-    ignore it.
+    workload -> strictly increasing tuple of resources. It is derived from
+    the mapping, so equality, hashing, `pairs`, `allocation` and
+    `available_resources` ignore it.
     """
 
     __slots__ = ("_base", "_recent", "_resources_of")
@@ -88,7 +90,7 @@ class AllocationState:
             groups.setdefault(workload, []).append(resource)
         self._base = allocation
         self._recent = {}
-        self._resources_of = {w: frozenset(rs) for w, rs in groups.items()}
+        self._resources_of = {w: tuple(sorted(rs)) for w, rs in groups.items()}
 
     def _merged(self) -> dict[str, str]:
         """The whole mapping, in the order its pairs were given or added."""
@@ -119,7 +121,7 @@ class AllocationState:
         return len(self._base) + len(self._recent)
 
 
-Payload = Union[None, str, frozenset]
+Payload = Union[None, str, tuple[str, ...]]
 
 
 class OpOutcome(NamedTuple):
@@ -157,7 +159,9 @@ def add(state: AllocationState, resource: str, workload: str) -> OpOutcome:
     grown._base = base
     grown._recent = recent
     index = state._resources_of.copy()
-    index[workload] = index.get(workload, frozenset()).union((resource,))
+    resources = index.get(workload, ())
+    at = bisect_left(resources, resource)
+    index[workload] = resources[:at] + (resource,) + resources[at:]
     grown._resources_of = index
     return OpOutcome(grown, Report.OK)
 
@@ -177,10 +181,11 @@ def find(state: AllocationState, resource: str) -> OpOutcome:
 def map_query(state: AllocationState, rank: str) -> OpOutcome:
     """All resources currently allocated to the given workload.
 
-    Total: an unknown workload yields the empty set with OK.
+    The payload is the set in canonical form, its names in increasing
+    order as a tuple. Total: an unknown workload yields `()` with OK.
     """
     check_token(rank)
-    return OpOutcome(state, Report.OK, state._resources_of.get(rank, frozenset()))
+    return OpOutcome(state, Report.OK, state._resources_of.get(rank, ()))
 
 
 def available(state: AllocationState) -> frozenset[str]:

@@ -198,28 +198,19 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
 def run_replay(commands: list[ReplayCommand]) -> tuple[AllocationState, list[str]]:
     """Execute replay commands in order, starting from the initial state.
 
-    Each command yields one report line `<lineNo> <REPORT> [payload]` with
-    set payloads rendered in sorted order. An EXPECT mismatch stops the run.
-    The core operations are bound when the run starts, so wrappers placed
-    on `core` before the call see every command.
-
-    A workload's set is unchanged, and the same object, until an ADD grows
-    it, so the run keeps each workload's last set and its text and renders
-    a set again only when MAP returns a different object.
+    Each command yields one report line `<lineNo> <REPORT> [payload]`; a
+    MAP payload, already sorted, is joined with commas. An EXPECT mismatch
+    stops the run. The core operations are bound when the run starts, so
+    wrappers placed on `core` before the call see every command.
     """
     ops = {"INIT": lambda _: OpOutcome(core.init(), Report.OK), "ADD": core.add,
            "FIND": core.find, "MAP": core.map_query}
     state = core.init()
     lines: list[str] = []
-    rendered: dict[str, tuple[frozenset, str]] = {}  # workload -> (set, text)
     for cmd in commands:
         state, report, payload = ops[cmd.op](state, *cmd.args)
-        if isinstance(payload, frozenset):
-            last, shown = rendered.get(cmd.args[0], (None, ""))
-            if payload is not last:
-                shown = ",".join(sorted(payload))
-                rendered[cmd.args[0]] = payload, shown
-            payload = shown
+        if isinstance(payload, tuple):
+            payload = ",".join(payload)
         text = f"{cmd.line} {report.value}"
         lines.append(f"{text} {payload}" if payload else text)
         if cmd.expect is not None and report != cmd.expect:

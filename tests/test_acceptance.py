@@ -68,9 +68,9 @@ def test_criterion_2_worked_example_and_golden_replay(capsys):
     ok &= core.find(state, "Res1").payload == "Cloudworkload3"
     ok &= core.find(state, "Res2").payload == "Cloudworkload2"
     ok &= core.find(state, "Res3").payload == "Cloudworkload1"
-    ok &= core.map_query(state, "Cloudworkload2").payload == frozenset({"Res2"})
-    ok &= core.map_query(state, "Cloudworkload1").payload == frozenset({"Res3"})
-    ok &= core.map_query(state, "Cloudworkload3").payload == frozenset({"Res1"})
+    ok &= core.map_query(state, "Cloudworkload2").payload == ("Res2",)
+    ok &= core.map_query(state, "Cloudworkload1").payload == ("Res3",)
+    ok &= core.map_query(state, "Cloudworkload3").payload == ("Res1",)
 
     code = cli.main(["replay", "--script", str(DATA / "example_build.replay")])
     out = capsys.readouterr().out

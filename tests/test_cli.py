@@ -599,6 +599,19 @@ def test_short_write_of_stdout_is_an_error(tmp_path, name, unbuffered):
     assert err == f"error: cannot write stdout: {reason}\n"
 
 
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_unbuffered_stdout_is_the_buffered_bytes(name):
+    # Unbuffered, `_emit` writes the encoded bytes itself, in a loop.
+    outputs = []
+    for unbuffered in (False, True):
+        proc = _cli(_subcommand_argv(name), unbuffered, stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] != b""
+
+
 @pytest.mark.skipif(shutil.which("head") is None, reason="no head(1)")
 def test_replay_into_head_exits_0(tmp_path):
     wrmap = _cli(_subcommand_argv("replay", str(tmp_path / "state.json")),

@@ -37,7 +37,7 @@ def test_init_is_empty():
 def test_init_map_query_empty():
     outcome = core.map_query(core.init(), "W0")
     assert outcome.report is Report.OK
-    assert outcome.payload == frozenset()
+    assert outcome.payload == ()
 
 
 def test_init_find_not_mapped():
@@ -83,10 +83,8 @@ def test_find_example_state():
 def test_map_query_example_state():
     state = build_example_state()
     # Oracle: enumerate all pairs and filter.
-    expected = frozenset(
-        r for r, w in state.pairs if w == "Cloudworkload2"
-    )
-    assert expected == frozenset({"Res2"})
+    expected = tuple(r for r, w in state.pairs if w == "Cloudworkload2")
+    assert expected == ("Res2",)
     assert core.map_query(state, "Cloudworkload2").payload == expected
 
 
@@ -94,8 +92,8 @@ def test_map_query_many_to_one():
     state = core.init()
     state = core.add(state, "Res1", "W").state
     state = core.add(state, "Res2", "W").state
-    assert core.map_query(state, "W").payload == frozenset({"Res1", "Res2"})
-    assert core.map_query(state, "W9").payload == frozenset()
+    assert core.map_query(state, "W").payload == ("Res1", "Res2")
+    assert core.map_query(state, "W9").payload == ()
 
 
 def test_available_matches_domain():
@@ -139,8 +137,13 @@ def run_step(state, step):
 
 
 def scan(model, workload):
-    """MAP by a scan of every pair of a plain dict."""
-    return frozenset(r for r, w in model.items() if w == workload)
+    """MAP by a scan of every pair of a plain dict, in canonical order."""
+    return tuple(sorted(r for r, w in model.items() if w == workload))
+
+
+def strictly_increasing(payload):
+    """A MAP payload is a tuple of names, each greater than the one before."""
+    return type(payload) is tuple and all(map(str.__lt__, payload, payload[1:]))
 
 
 def model_step(model, step):
@@ -227,9 +230,9 @@ def test_map_query_oracle_and_partition(sequence):
             for r in core.available(state)
             if core.find(state, r).payload == workload
         }
-        assert result == brute
-        assert result.isdisjoint(union)
-        union |= result
+        assert result == tuple(sorted(brute))
+        assert union.isdisjoint(result)
+        union.update(result)
     assert union == core.available(state)
 
 
@@ -278,7 +281,9 @@ def test_index_agrees_with_scan_however_the_state_is_built(allocation, sequence)
     for state in states:
         model = state.allocation
         for workload in WORKLOADS + ["W99"]:
-            assert core.map_query(state, workload).payload == scan(model, workload)
+            payload = core.map_query(state, workload).payload
+            assert payload == scan(model, workload)
+            assert strictly_increasing(payload)
 
 
 def test_rejected_add_returns_the_same_state():
@@ -290,7 +295,7 @@ def test_rejected_add_returns_the_same_state():
     assert outcome.state is state
     assert state._resources_of is index
     assert index == before
-    assert core.map_query(state, "Cloudworkload2").payload == {"Res2"}
+    assert core.map_query(state, "Cloudworkload2").payload == ("Res2",)
 
 
 def test_state_has_no_instance_dict():
@@ -314,6 +319,8 @@ def test_seeded_script_across_many_folds_matches_a_plain_dict():
                            ("find", resource), ("map", workload)])
         outcome = run_step(state, step)
         assert (outcome.report, outcome.payload) == model_step(model, step)
+        if step[0] == "map":
+            assert strictly_increasing(outcome.payload)
         rebuilds += outcome.state._base is not state._base
         state = outcome.state
         longest = max(longest, len(state._recent))

@@ -269,8 +269,8 @@ class TestRunReplay:
         assert lines[-1] == "4 OK a,b"
 
     def test_map_text_follows_every_change_of_the_set(self):
-        # MAP text is reused only while the workload's set is the same
-        # object: an ADD to it, an ADD elsewhere and INIT must all show.
+        # Each MAP shows the workload's resources at that line: an ADD to
+        # it, an ADD elsewhere and INIT must all show.
         commands = trace_io.parse_replay(
             "ADD b W\nMAP W\nMAP W\nADD a W\nADD c V\nMAP W\nMAP V\n"
             "ADD d X\nMAP W\nINIT\nMAP W\nADD e W\nMAP W\nMAP W\n"
