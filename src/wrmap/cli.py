@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain error (singular fit, failed expectation,
 missing model, ...), 2 usage or parse error, or stdout that cannot be
 written. Errors go to stderr only, one line each; stdout carries just the
 tables and transcripts, byte-deterministic for identical inputs, each
-built whole and then written by `_emit`.
+built whole and then written by `_emit` as UTF-8 with LF line endings,
+whatever the locale, platform or buffering.
 
 Every subcommand runs on the standard library alone. `replay` needs only
 `trace_io` and `core`; the commands that fit or match import `regression`
@@ -15,8 +16,6 @@ with the same message.
 from __future__ import annotations
 
 import argparse
-import io
-import os
 import re
 import sys
 from math import isfinite
@@ -241,31 +240,27 @@ def _transcript(lines: Sequence[str]) -> str:
 
 
 def _emit(text: str) -> None:
-    """Write a command's whole stdout and flush it.
+    """Write a command's whole stdout as UTF-8 bytes.
 
-    A write that fails (a full device, a closed pipe) is a usage error.
-    Whatever the failed write left buffered then drains into `os.devnull`,
-    so the flush at interpreter exit cannot fail again and print a second
-    report.
+    The bytes go to stdout's raw layer until all of them are taken, so
+    neither the locale nor the buffering mode can change them, and no byte
+    is left in a Python buffer for the flush at exit to retry. A write that
+    fails (a full device, a closed pipe) is a usage error. A stream with no
+    binary layer, such as a `StringIO`, takes the text.
     """
     out = sys.stdout
-    raw = getattr(out, "buffer", None)
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        out.write(text)
+        return
+    # Unbuffered (`python -u`, PYTHONUNBUFFERED), the binary layer is raw.
+    raw = getattr(binary, "raw", binary)
+    view = memoryview(text.encode("utf-8"))
     try:
-        if isinstance(raw, io.RawIOBase):
-            # Unbuffered stdout (`python -u`, PYTHONUNBUFFERED): the text
-            # layer drops what a short write leaves, so write the bytes
-            # until all of them are taken.
-            out.flush()
-            view = memoryview(text.encode(out.encoding, out.errors))
-            while view:
-                view = view[raw.write(view):]
-        else:
-            out.write(text)
-            out.flush()
+        out.flush()
+        while view:
+            view = view[raw.write(view):]
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         raise _UsageError(f"cannot write stdout: {exc}") from exc
 
 

@@ -1,12 +1,15 @@
+import contextlib
 import errno
+import io
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wrmap import trace_io
 from wrmap.cli import MARK, main, render_assignment
@@ -524,14 +527,16 @@ def test_render_assignment_edge_shapes():
         assert render_assignment(m) == reference_render_assignment(m)
 
 
-def _cli(argv, unbuffered=False, **kwargs):
+def _cli(argv, unbuffered=False, extra_env=(), **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")] if p
     )
     env.pop("PYTHONUNBUFFERED", None)
+    env.pop("PYTHONIOENCODING", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    env.update(extra_env)
     return subprocess.Popen([sys.executable, "-m", "wrmap.cli", *argv], env=env, **kwargs)
 
 
@@ -601,7 +606,8 @@ def test_short_write_of_stdout_is_an_error(tmp_path, name, unbuffered):
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_unbuffered_stdout_is_the_buffered_bytes(name):
-    # Unbuffered, `_emit` writes the encoded bytes itself, in a loop.
+    # Either way `_emit` writes the bytes to the raw layer itself: past
+    # `sys.stdout.buffer` when buffered, to that layer when unbuffered.
     outputs = []
     for unbuffered in (False, True):
         proc = _cli(_subcommand_argv(name), unbuffered, stdout=subprocess.PIPE,
@@ -610,6 +616,57 @@ def test_unbuffered_stdout_is_the_buffered_bytes(name):
         assert (proc.returncode, err) == (0, b"")
         outputs.append(out)
     assert outputs[0] == outputs[1] != b""
+
+
+def _argv_naming_a_non_ascii_resource(name, tmp_path):
+    if name == "fit":
+        path = tmp_path / "obs.csv"
+        path.write_bytes("resource,workload,w,r\n资源,W1,1,2\n资源,W1,2,3\n".encode())
+        return ["fit", "--input", str(path), "--all"]
+    path = tmp_path / "script.replay"
+    path.write_bytes("INIT\nADD 资源 W1\nFIND 资源\nMAP W1\n".encode())
+    return ["replay", "--script", str(path)]
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS + ["fit-non-ascii", "replay-non-ascii"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, name):
+    # Encoded by the locale's codec, the allocation's marks and the
+    # resource name would raise UnicodeEncodeError.
+    if name.endswith("-non-ascii"):
+        argv = _argv_naming_a_non_ascii_resource(name.split("-")[0], tmp_path)
+    else:
+        argv = _subcommand_argv(name)
+
+    def stdout(encoding, unbuffered=False):
+        proc = _cli(argv, unbuffered, {"PYTHONIOENCODING": encoding},
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        return out
+
+    expected = stdout("utf-8")
+    for encoding in ("ascii", "latin-1"):
+        for unbuffered in (False, True):
+            assert stdout(encoding, unbuffered) == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="EPIPE is the POSIX error")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_broken_pipe_is_one_line_error(name, unbuffered):
+    # Python ignores SIGPIPE, so the write fails with EPIPE instead of
+    # killing the process.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli(_subcommand_argv(name), unbuffered, stdout=write_end,
+                    stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    reason = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    assert err == f"error: cannot write stdout: {reason}\n"
 
 
 @pytest.mark.skipif(shutil.which("head") is None, reason="no head(1)")
@@ -625,3 +682,118 @@ def test_replay_into_head_exits_0(tmp_path):
     assert err == b""
     expected = (DATA / "example_build.out").read_bytes()
     assert out == expected[: expected.index(b"\n") + 1]
+
+
+# The contract fuzzer: `main` in process, on command lines drawn from the
+# grammar with bad values mixed in, reading damaged copies of tests/data.
+SAMPLE_INPUTS = ["observations.csv", "reference7.csv", "example_build.replay"]
+FUZZ_OPTIONS = {
+    "fit": ["--input", "--pair", "--precision"],  # --pair or else --all
+    "residuals": ["--input", "--pair", "--precision"],
+    "allocate": ["--input", "--at", "--resources", "--workloads", "--snapshot"],
+    "replay": ["--script", "--snapshot-out"],
+    "bogus": [],
+}
+# A command mostly reads its own kind of file, but may read any.
+FUZZ_SAMPLES = {"replay": ["example_build.replay"], "allocate": ["reference7.csv"]}
+HUGE_NUMBERS = [b"1e308", b"-1e308", b"1e200", b"1e-400", b"1e999"]
+
+
+@st.composite
+def damaged_files(draw, command):
+    own = FUZZ_SAMPLES.get(command, ["observations.csv", "reference7.csv"])
+    data = (DATA / draw(st.sampled_from(own * 4 + SAMPLE_INPUTS))).read_bytes()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["flip", "crlf", "bom", "nul", "truncate", "repeat", "huge", "huge", "empty"]))
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip":
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif kind == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif kind == "bom":
+            data = b"\xef\xbb\xbf" + data
+        elif kind == "nul":
+            data = data[:at] + b"\0" + data[at:]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind == "repeat":
+            line = draw(st.sampled_from(data.splitlines(keepends=True) or [b""]))
+            data = data[:at] + line * draw(st.integers(1, 3)) + data[at:]
+        elif kind == "huge":
+            numbers = list(re.finditer(rb"(?<=,)[0-9.]+", data))
+            if numbers:
+                m = draw(st.sampled_from(numbers))
+                data = data[:m.start()] + draw(st.sampled_from(HUGE_NUMBERS)) + data[m.end():]
+        else:
+            data = b""
+    return data
+
+
+fuzz_names = st.sampled_from(["R1", "W1", "Res2", "Cloudworkload2", "R:1", "资源", "",
+                              ":", "R1:W1"])
+
+
+def fuzz_list(names):
+    """Names from tests/data, or any drawn names; comma-separated."""
+    return st.one_of(st.lists(st.sampled_from(names), min_size=1, max_size=4),
+                     st.lists(fuzz_names, max_size=4)).map(",".join)
+
+
+fuzz_values = {
+    "--pair": st.one_of(st.sampled_from(["R1:W1", "R1:W2", "R2:W1", "R2:W2", "R7:W7"]),
+                        st.lists(fuzz_names, min_size=1, max_size=3).map(":".join),
+                        st.text(max_size=6)),
+    "--precision": st.sampled_from(["short", "full"] * 3 + ["long", ""]),
+    "--at": st.sampled_from(["0.5", "1", "-2", ".5e1", "1e308"] * 3
+                            + ["1e999", "nan", "-inf", "1_0", " 5 ", "١", "", "0x10", "R1"]),
+    "--resources": fuzz_list(["R1", "R2", "R3", "R7"]),
+    "--workloads": fuzz_list(["W1", "W2", "W3", "W7"]),
+}
+
+
+@st.composite
+def command_lines(draw, command, inputs, outputs):
+    """argv for the command: its flags in any order, one of them dropped 1
+    time in 4, then 1 time in 4 a stray token."""
+    flags = draw(st.permutations(FUZZ_OPTIONS[command]))
+    if flags and draw(st.sampled_from([False] * 3 + [True])):
+        flags.remove(draw(st.sampled_from(flags)))
+    argv = [command]
+    for flag in flags:
+        if flag in ("--input", "--script"):
+            argv += [flag, draw(st.sampled_from(inputs))]
+        elif flag in ("--snapshot", "--snapshot-out"):
+            argv += [flag, draw(st.sampled_from(outputs))]
+        elif command == "fit" and flag == "--pair" and draw(st.booleans()):
+            argv.append("--all")
+        else:
+            argv += [flag, draw(fuzz_values[flag])]
+    return argv + draw(st.sampled_from([[]] * 12 + [["--help"], ["--bogus"], ["extra"],
+                                                     ["--all"]]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_on_damaged_inputs(tmp_path, data):
+    command = data.draw(st.sampled_from(["fit", "residuals", "allocate", "replay"] * 3
+                                        + ["bogus"]))
+    damaged = tmp_path / "input"
+    damaged.write_bytes(data.draw(damaged_files(command)))
+    inputs = [str(damaged)] * 6 + [str(tmp_path / "missing.csv"), str(tmp_path)]
+    outputs = [str(tmp_path / "out.json")] * 6 + [str(tmp_path / "missing" / "out.json"),
+                                                  str(tmp_path)]
+    argv = data.draw(command_lines(command, inputs, outputs))
+    # A text layer that cannot encode the marks: stdout is bytes all the same.
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.buffer.getvalue().decode("utf-8")  # raises unless the bytes are UTF-8
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
