@@ -1,11 +1,11 @@
 """Command-line front end: fit, residuals, allocate, replay.
 
 Exit codes: 0 success, 1 domain error (singular fit, failed expectation,
-missing model, ...), 2 usage or parse error, or stdout that cannot be
-written. Errors go to stderr only, one line each; stdout carries just the
-tables and transcripts, byte-deterministic for identical inputs, each
-built whole and then written by `_emit` as UTF-8 with LF line endings,
-whatever the locale, platform or buffering.
+unknown pair, ...), 2 usage or parse error, or stdout that cannot be
+written. stdout carries just the tables and transcripts, byte-deterministic
+for identical inputs, and stderr at most one error line. Each is built
+whole and then written by `_emit` as UTF-8 with LF line endings, whatever
+the locale, platform or buffering.
 
 Every subcommand runs on the standard library alone. `replay` needs only
 `trace_io` and `core`; the commands that fit or match import `regression`
@@ -239,29 +239,32 @@ def _transcript(lines: Sequence[str]) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def _emit(text: str) -> None:
-    """Write a command's whole stdout as UTF-8 bytes.
+def _emit(text: str, stream: str = "stdout") -> None:
+    """Write text to `sys.stdout` or `sys.stderr` as UTF-8 bytes.
 
-    The bytes go to stdout's raw layer until all of them are taken, so
+    The bytes go to the stream's raw layer until all of them are taken, so
     neither the locale nor the buffering mode can change them, and no byte
-    is left in a Python buffer for the flush at exit to retry. A write that
-    fails (a full device, a closed pipe) is a usage error. A stream with no
-    binary layer, such as a `StringIO`, takes the text.
+    is left in a Python buffer for the flush at exit to retry; argv's
+    undecodable bytes keep their escapes (`\\udcff`). A failed stdout write
+    is a usage error, and a failed stderr write is dropped, as nothing is
+    left to report it on. A `StringIO`, with no binary layer, takes the text.
     """
-    out = sys.stdout
-    binary = getattr(out, "buffer", None)
-    if binary is None:
+    out = getattr(sys, stream)
+    if out is not None and not hasattr(out, "buffer"):
         out.write(text)
         return
-    # Unbuffered (`python -u`, PYTHONUNBUFFERED), the binary layer is raw.
-    raw = getattr(binary, "raw", binary)
-    view = memoryview(text.encode("utf-8"))
+    view = memoryview(text.encode("utf-8", "backslashreplace"))
     try:
+        if out is None:  # Python found the descriptor closed at start-up
+            raise OSError("the descriptor is closed")
         out.flush()
+        # Unbuffered (`python -u`, PYTHONUNBUFFERED), the binary layer is raw.
+        raw = getattr(out.buffer, "raw", out.buffer)
         while view:
             view = view[raw.write(view):]
     except OSError as exc:
-        raise _UsageError(f"cannot write stdout: {exc}") from exc
+        if stream == "stdout":
+            raise _UsageError(f"cannot write stdout: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,12 +309,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (_UsageError, trace_io.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (_UsageError, _DomainError, trace_io.ParseError) as exc:
+        _emit(f"error: {exc}\n", "stderr")
+        return 1 if isinstance(exc, _DomainError) else 2
 
 
 def entry() -> None:  # console_scripts target

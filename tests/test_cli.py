@@ -669,6 +669,62 @@ def test_broken_pipe_is_one_line_error(name, unbuffered):
     assert err == f"error: cannot write stdout: {reason}\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_closed_stdout_is_one_line_error(name, unbuffered):
+    # Started with fd 1 closed, Python sets sys.stdout to None.
+    proc = _cli(_subcommand_argv(name), unbuffered, stderr=subprocess.PIPE,
+                preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == b"error: cannot write stdout: the descriptor is closed\n"
+
+
+# A usage error and a domain error, each with its exit code.
+ERROR_ARGV = {
+    "missing-input": (["fit", "--input", str(DATA / "missing.csv"), "--all"], 2),
+    "unknown-pair": (["fit", "--input", OBSERVATIONS, "--pair", "资源:W9"], 1),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("case", ERROR_ARGV)
+def test_unwritable_stderr_keeps_the_exit_code(case, stderr, unbuffered):
+    # Nothing is left to report a failed stderr write on, so it is dropped;
+    # the error line must not move to stdout either.
+    argv, code = ERROR_ARGV[case]
+    with open("/dev/full", "w") as full:
+        if stderr == "full":
+            proc = _cli(argv, unbuffered, stdout=subprocess.PIPE, stderr=full)
+        else:
+            proc = _cli(argv, unbuffered, stdout=subprocess.PIPE,
+                        preexec_fn=lambda: os.close(2))
+        out, _ = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (code, b"")
+
+
+def test_stderr_is_utf8_whatever_the_locale():
+    # Python's own stderr would write the name as \u8d44\u6e90 there.
+    argv, code = ERROR_ARGV["unknown-pair"]
+
+    def stderr(encoding, unbuffered=False):
+        proc = _cli(argv, unbuffered, {"PYTHONIOENCODING": encoding},
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out) == (code, b"")
+        return err
+
+    expected = stderr("utf-8")
+    assert expected == "error: unknown pair 资源:W9\n".encode()
+    for encoding in ("ascii", "latin-1"):
+        for unbuffered in (False, True):
+            assert stderr(encoding, unbuffered) == expected
+
+
 @pytest.mark.skipif(shutil.which("head") is None, reason="no head(1)")
 def test_replay_into_head_exits_0(tmp_path):
     wrmap = _cli(_subcommand_argv("replay", str(tmp_path / "state.json")),

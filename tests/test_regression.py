@@ -251,6 +251,21 @@ def test_affine_equivariance():
         assert shifted_model.mu0_hat == pytest.approx(
             model.mu0_hat - model.mu1_hat * c, rel=1e-9, abs=1e-9
         )
+        # Scaling w by 2^a and r by 2^b is exact, even with an offset, so
+        # the fit scales with them bit for bit.
+        a, b = (int(e) for e in rng.integers(-200, 201, size=2))
+        offset = float(rng.choice([0.0, 1e3, 1e6]))
+        pairs = [(o.w + offset, o.r + offset) for o in data.observations]
+        base = regression.fit(Dataset.from_pairs(pairs))
+        pow2 = regression.fit(
+            Dataset.from_pairs((math.ldexp(w, a), math.ldexp(r, b)) for w, r in pairs)
+        )
+        sigma2 = None if base.sigma2_hat is None else math.ldexp(base.sigma2_hat, 2 * b)
+        expected = regression.RegressionModel(
+            math.ldexp(base.mu0_hat, b), math.ldexp(base.mu1_hat, b - a),
+            math.ldexp(base.ssr, 2 * b), base.n, sigma2,
+        )
+        assert repr(pow2) == repr(expected)
 
 
 def test_denominator_identity():
