@@ -166,10 +166,13 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
     <REPORT>` clause is recognised only right after them, so an argument
     may itself be spelled `EXPECT`. `str.split()` already yields
     non-empty tokens free of whitespace, so the arguments are checked
-    against `TOKEN` only on a line whose code holds a comma.
+    against `TOKEN` only on a line whose code holds a comma. A line that
+    holds a CR is an error, so a CRLF script fails at its first line.
     """
     commands = []
     for lineno, raw in enumerate(_decode(text).split("\n"), start=1):
+        if "\r" in raw:
+            raise ParseError(lineno, "carriage return: lines end with LF alone")
         code = raw.split("#", 1)[0]
         tokens = code.split()
         if not tokens:

@@ -527,55 +527,6 @@ def test_render_assignment_edge_shapes():
         assert render_assignment(m) == reference_render_assignment(m)
 
 
-def _cli(argv, unbuffered=False, extra_env=(), **kwargs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")] if p
-    )
-    env.pop("PYTHONUNBUFFERED", None)
-    env.pop("PYTHONIOENCODING", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    env.update(extra_env)
-    return subprocess.Popen([sys.executable, "-m", "wrmap.cli", *argv], env=env, **kwargs)
-
-
-def _subcommand_argv(name, snapshot=None):
-    """A short run of the subcommand, writing its snapshot if one is given."""
-    argv = {
-        "help": ["allocate", "--help"],
-        "fit": ["fit", "--input", OBSERVATIONS, "--all"],
-        "residuals": ["residuals", "--input", OBSERVATIONS, "--pair", "R1:W1"],
-        "allocate": ["allocate", "--input", REFERENCE7, "--at", "0.5",
-                     "--resources", "R1,R2,R3", "--workloads", "W1,W2,W3"],
-        "replay": ["replay", "--script", str(DATA / "example_build.replay")],
-    }[name]
-    flag = {"allocate": "--snapshot", "replay": "--snapshot-out"}.get(name)
-    if snapshot is not None and flag is not None:
-        argv += [flag, snapshot]
-    return argv
-
-
-SUBCOMMANDS = ["fit", "residuals", "allocate", "replay", "help"]
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("name", SUBCOMMANDS)
-def test_unwritable_stdout_is_one_line_error(tmp_path, name, unbuffered):
-    snapshot = tmp_path / "state.json"
-    with open("/dev/full", "w") as full:
-        proc = _cli(_subcommand_argv(name, str(snapshot)), unbuffered, stdout=full,
-                    stderr=subprocess.PIPE, text=True)
-        _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 2
-    # One line: no traceback, no "Exception ignored" from the flush at exit.
-    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-    assert err == f"error: cannot write stdout: {reason}\n"
-    # The snapshot is written before stdout, so it survives the failure.
-    assert snapshot.exists() == (name in ("allocate", "replay"))
-
-
 def _limit_file_size():
     """In the child: files it writes may grow to 20 bytes, and a write
     past that fails with EFBIG instead of killing it with SIGXFSZ."""
@@ -586,158 +537,145 @@ def _limit_file_size():
     resource.setrlimit(resource.RLIMIT_FSIZE, (20, 20))
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("name", SUBCOMMANDS)
-def test_short_write_of_stdout_is_an_error(tmp_path, name, unbuffered):
-    # Every output is longer than 20 bytes: the first write takes 20 and
-    # the next one fails. Unbuffered, Python's text layer would drop the
-    # rest without a word.
-    out_path = tmp_path / "out"
-    with open(out_path, "w") as out:
-        proc = _cli(_subcommand_argv(name), unbuffered, stdout=out, stderr=subprocess.PIPE, text=True,
-                    preexec_fn=_limit_file_size)
-        _, err = proc.communicate(timeout=120)
-    assert out_path.stat().st_size == 20
-    assert proc.returncode == 2
-    reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
-    assert err == f"error: cannot write stdout: {reason}\n"
-
-
-@pytest.mark.parametrize("name", SUBCOMMANDS)
-def test_unbuffered_stdout_is_the_buffered_bytes(name):
-    # Either way `_emit` writes the bytes to the raw layer itself: past
-    # `sys.stdout.buffer` when buffered, to that layer when unbuffered.
-    outputs = []
-    for unbuffered in (False, True):
-        proc = _cli(_subcommand_argv(name), unbuffered, stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE)
-        out, err = proc.communicate(timeout=120)
-        assert (proc.returncode, err) == (0, b"")
-        outputs.append(out)
-    assert outputs[0] == outputs[1] != b""
-
-
-def _argv_naming_a_non_ascii_resource(name, tmp_path):
-    if name == "fit":
-        path = tmp_path / "obs.csv"
-        path.write_bytes("resource,workload,w,r\n资源,W1,1,2\n资源,W1,2,3\n".encode())
-        return ["fit", "--input", str(path), "--all"]
-    path = tmp_path / "script.replay"
-    path.write_bytes("INIT\nADD 资源 W1\nFIND 资源\nMAP W1\n".encode())
-    return ["replay", "--script", str(path)]
-
-
-@pytest.mark.parametrize("name", SUBCOMMANDS + ["fit-non-ascii", "replay-non-ascii"])
-def test_stdout_is_utf8_whatever_the_locale(tmp_path, name):
-    # Encoded by the locale's codec, the allocation's marks and the
-    # resource name would raise UnicodeEncodeError.
-    if name.endswith("-non-ascii"):
-        argv = _argv_naming_a_non_ascii_resource(name.split("-")[0], tmp_path)
-    else:
-        argv = _subcommand_argv(name)
-
-    def stdout(encoding, unbuffered=False):
-        proc = _cli(argv, unbuffered, {"PYTHONIOENCODING": encoding},
-                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        out, err = proc.communicate(timeout=120)
-        assert (proc.returncode, err) == (0, b"")
-        return out
-
-    expected = stdout("utf-8")
-    for encoding in ("ascii", "latin-1"):
-        for unbuffered in (False, True):
-            assert stdout(encoding, unbuffered) == expected
-
-
-@pytest.mark.skipif(os.name != "posix", reason="EPIPE is the POSIX error")
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("name", SUBCOMMANDS)
-def test_broken_pipe_is_one_line_error(name, unbuffered):
-    # Python ignores SIGPIPE, so the write fails with EPIPE instead of
-    # killing the process.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = _cli(_subcommand_argv(name), unbuffered, stdout=write_end,
-                    stderr=subprocess.PIPE, text=True)
-    finally:
-        os.close(write_end)
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 2
-    reason = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
-    assert err == f"error: cannot write stdout: {reason}\n"
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("name", SUBCOMMANDS)
-def test_closed_stdout_is_one_line_error(name, unbuffered):
-    # Started with fd 1 closed, Python sets sys.stdout to None.
-    proc = _cli(_subcommand_argv(name), unbuffered, stderr=subprocess.PIPE,
-                preexec_fn=lambda: os.close(1))
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 2
-    assert err == b"error: cannot write stdout: the descriptor is closed\n"
-
-
-# A usage error and a domain error, each with its exit code.
+MISSING = str(DATA / "missing.csv")
+# A usage error and a domain error, each with its exit code and stderr.
 ERROR_ARGV = {
-    "missing-input": (["fit", "--input", str(DATA / "missing.csv"), "--all"], 2),
-    "unknown-pair": (["fit", "--input", OBSERVATIONS, "--pair", "资源:W9"], 1),
+    "missing-input": (["fit", "--input", MISSING, "--all"], 2, "error: cannot read "
+                      f"{MISSING}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {MISSING!r}\n"),
+    "unknown-pair": (["fit", "--input", OBSERVATIONS, "--pair", "资源:W9"], 1,
+                     "error: unknown pair 资源:W9\n"),
 }
+# Encoded by the locale's codec, the name would raise UnicodeEncodeError
+# on stdout and print as \u8d44\u6e90 on stderr.
+NON_ASCII = {"fit-non-ascii": "resource,workload,w,r\n资源,W1,1,2\n资源,W1,2,3\n",
+             "replay-non-ascii": "INIT\nADD 资源 W1\nFIND 资源\nMAP W1\n"}
+# The argv cases. A snapshot flag and a non-ASCII case's input flag are
+# given their path when the case runs.
+CASE_ARGV = {
+    "help": ["allocate", "--help"],
+    "fit": ["fit", "--input", OBSERVATIONS, "--all"],
+    "residuals": ["residuals", "--input", OBSERVATIONS, "--pair", "R1:W1"],
+    "allocate": ["allocate", "--input", REFERENCE7, "--at", "0.5",
+                 "--resources", "R1,R2,R3", "--workloads", "W1,W2,W3", "--snapshot"],
+    "replay": ["replay", "--script", str(DATA / "example_build.replay"), "--snapshot-out"],
+    "fit-non-ascii": ["fit", "--all", "--input"],
+    "replay-non-ascii": ["replay", "--script"],
+    **{case: argv for case, (argv, _, _) in ERROR_ARGV.items()},
+}
+SUBCOMMANDS = ["fit", "residuals", "allocate", "replay", "help"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("stderr", ["full", "closed"])
-@pytest.mark.parametrize("case", ERROR_ARGV)
-def test_unwritable_stderr_keeps_the_exit_code(case, stderr, unbuffered):
-    # Nothing is left to report a failed stderr write on, so it is dropped;
-    # the error line must not move to stdout either.
-    argv, code = ERROR_ARGV[case]
-    with open("/dev/full", "w") as full:
-        if stderr == "full":
-            proc = _cli(argv, unbuffered, stdout=subprocess.PIPE, stderr=full)
-        else:
-            proc = _cli(argv, unbuffered, stdout=subprocess.PIPE,
-                        preexec_fn=lambda: os.close(2))
-        out, _ = proc.communicate(timeout=120)
-    assert (proc.returncode, out) == (code, b"")
+def _run(case, directory, stream, sink, unbuffered):
+    """Run the case's command line with the stream sent to the sink: (exit
+    code, stdout, stderr, snapshot or None), b"" for a stream not piped
+    back. Its non-ASCII input and its snapshot are in directory."""
+    argv = CASE_ARGV[case]
+    if case in NON_ASCII:
+        (directory / "input").write_bytes(NON_ASCII[case].encode())
+        argv = argv + [str(directory / "input")]
+    snapshot = directory / "state.json"
+    # A file of 20 bytes at most cannot hold the snapshot.
+    if argv[-1].startswith("--snapshot"):
+        argv = argv[:-1] if sink == "fsize" else argv + [str(snapshot)]
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONUNBUFFERED="1" if unbuffered else "",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    kwargs, head = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}, None
+    with contextlib.ExitStack() as stack:
+        if sink in ("ascii", "latin-1", "utf-8"):
+            env["PYTHONIOENCODING"] = sink
+        elif sink == "full":
+            kwargs[stream] = stack.enter_context(open("/dev/full", "wb"))
+        elif sink == "fsize":
+            kwargs.update(stdout=stack.enter_context(open(directory / "out", "wb")),
+                          preexec_fn=_limit_file_size)
+        elif sink == "closed":  # Python then sets sys.stdout or sys.stderr to None.
+            kwargs["preexec_fn"] = lambda: os.close(1 if stream == "stdout" else 2)
+        else:  # A pipe: "head" reads its first line, "pipe" has no reader, and
+            # as Python ignores SIGPIPE, a write to it fails with EPIPE.
+            read_end, write_end = os.pipe()
+            stack.callback(os.close, write_end)
+            if sink == "head":
+                head = subprocess.Popen(["head", "-1"], stdin=read_end, stdout=subprocess.PIPE)
+            os.close(read_end)
+            kwargs["stdout"] = write_end
+        proc = subprocess.Popen([sys.executable, "-m", "wrmap.cli", *argv], env=env, **kwargs)
+    out, err = proc.communicate(timeout=120)
+    if head is not None:
+        out = head.communicate(timeout=120)[0]
+    return (proc.returncode, out or b"", err or b"",
+            snapshot.read_bytes() if snapshot.exists() else None)
 
 
-def test_stderr_is_utf8_whatever_the_locale():
-    # Python's own stderr would write the name as \u8d44\u6e90 there.
-    argv, code = ERROR_ARGV["unknown-pair"]
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """The case's reference run, made once: UTF-8, buffered, both streams
+    piped. A reference that fails its check fails every row of the case."""
+    runs = {}
 
-    def stderr(encoding, unbuffered=False):
-        proc = _cli(argv, unbuffered, {"PYTHONIOENCODING": encoding},
-                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        out, err = proc.communicate(timeout=120)
-        assert (proc.returncode, out) == (code, b"")
-        return err
+    def get(case):
+        if case not in runs:
+            directory = tmp_path_factory.mktemp(case)
+            code, out, err, snapshot = _run(case, directory, None, "utf-8", False)
+            # An error case writes its line and no output, any other the reverse.
+            _, want_code, want_err = ERROR_ARGV.get(case, (None, 0, ""))
+            assert (code, err, out == b"") == (want_code, want_err.encode(), case in ERROR_ARGV)
+            runs[case] = code, out, err, snapshot
+        return runs[case]
 
-    expected = stderr("utf-8")
-    assert expected == "error: unknown pair 资源:W9\n".encode()
-    for encoding in ("ascii", "latin-1"):
-        for unbuffered in (False, True):
-            assert stderr(encoding, unbuffered) == expected
+    return get
 
 
-@pytest.mark.skipif(shutil.which("head") is None, reason="no head(1)")
-def test_replay_into_head_exits_0(tmp_path):
-    wrmap = _cli(_subcommand_argv("replay", str(tmp_path / "state.json")),
-                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    head = subprocess.Popen(["head", "-1"], stdin=wrmap.stdout, stdout=subprocess.PIPE)
-    wrmap.stdout.close()
-    out, _ = head.communicate(timeout=120)
-    err = wrmap.stderr.read()
-    wrmap.stderr.close()
-    assert wrmap.wait(timeout=120) == 0
-    assert err == b""
-    expected = (DATA / "example_build.out").read_bytes()
-    assert out == expected[: expected.index(b"\n") + 1]
+# What `_emit` reports when each stdout sink fails.
+STDOUT_FAULTS = {sink: f"[Errno {e}] {os.strerror(e)}" for sink, e in
+                 [("full", errno.ENOSPC), ("fsize", errno.EFBIG), ("pipe", errno.EPIPE)]}
+STDOUT_FAULTS["closed"] = "the descriptor is closed"
+SINK_NEEDS = {
+    "full": pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+    "pipe": pytest.mark.skipif(os.name != "posix", reason="EPIPE is the POSIX error"),
+    "head": pytest.mark.skipif(shutil.which("head") is None, reason="no head(1)"),
+    **dict.fromkeys(["fsize", "closed"], pytest.mark.skipif(not hasattr(os, "fork"),
+                                                            reason="needs preexec_fn")),
+}
+BOTH = [False, True]
+# (cases, stream, sinks, unbuffered): one row for each combination.
+STREAM_TABLE = [
+    (SUBCOMMANDS, "stdout", ["full", "fsize", "pipe", "closed"], BOTH),
+    (SUBCOMMANDS, "stdout", ["utf-8"], [True]),
+    (SUBCOMMANDS + list(NON_ASCII), "stdout", ["ascii", "latin-1"], BOTH),
+    (list(ERROR_ARGV), "stderr", ["full", "closed"], BOTH),
+    (["unknown-pair"], "stderr", ["ascii", "latin-1"], BOTH),
+    (["replay"], "stdout", ["head"], [False]),
+]
+
+
+@pytest.mark.parametrize("case, stream, sink, unbuffered", [
+    pytest.param(case, stream, sink, unbuffered, marks=SINK_NEEDS.get(sink, ()),
+                 id=f"{case}-{stream}-{sink}-{'unbuffered' if unbuffered else 'buffered'}")
+    for cases, stream, sinks, modes in STREAM_TABLE
+    for case in cases for sink in sinks for unbuffered in modes
+])
+def test_stream_contract(reference, tmp_path, case, stream, sink, unbuffered):
+    ref_code, ref_out, ref_err, ref_snapshot = reference(case)
+    code, out, err, snapshot = _run(case, tmp_path, stream, sink, unbuffered)
+    if stream == "stderr" and sink in ("full", "closed"):
+        # Nothing is left to report a failed stderr write on, so it is
+        # dropped; the error line must not move to stdout either.
+        assert (code, out) == (ref_code, b"")
+    elif sink in STDOUT_FAULTS:
+        # One line: no traceback, no "Exception ignored" from the flush at exit.
+        assert (code, err) == (2, f"error: cannot write stdout: {STDOUT_FAULTS[sink]}\n".encode())
+    elif sink == "head":
+        assert (code, out, err) == (0, ref_out[:ref_out.index(b"\n") + 1], b"")
+    else:  # Neither a locale nor the buffering mode changes a byte.
+        assert (code, out, err) == (ref_code, ref_out, ref_err)
+    if sink == "fsize":
+        # The first write takes 20 bytes and the next one fails. Unbuffered,
+        # Python's text layer would drop the rest without a word.
+        assert (tmp_path / "out").read_bytes() == ref_out[:20]
+    else:
+        # The snapshot is written before stdout, so it survives a failed write.
+        assert snapshot == ref_snapshot
 
 
 # The contract fuzzer: `main` in process, on command lines drawn from the

@@ -226,6 +226,8 @@ class TestParseReplay:
             ("AD,D R1 W1", "unknown command 'AD,D'"),
             ("FIND R1 EXPECT O,K", "unknown report 'O,K'"),
             ("ADD R1 W1 W,2", "ADD takes 2 argument(s), got 3"),
+            # A CR, which a CRLF line ending leaves and str.split() takes for a space.
+            ("ADD R1 W1\r", "carriage return: lines end with LF alone"),
         ],
     )
     def test_error_reasons(self, line, reason):
