@@ -567,8 +567,9 @@ SUBCOMMANDS = ["fit", "residuals", "allocate", "replay", "help"]
 
 def _run(case, directory, stream, sink, unbuffered):
     """Run the case's command line with the stream sent to the sink: (exit
-    code, stdout, stderr, snapshot or None), b"" for a stream not piped
-    back. Its non-ASCII input and its snapshot are in directory."""
+    code, stdout, stderr, snapshot or None). Stdout is what reached a pipe,
+    head(1) or the 20-byte file, and a stream that reached none is b"".
+    The case's non-ASCII input and its snapshot are in directory."""
     argv = CASE_ARGV[case]
     if case in NON_ASCII:
         (directory / "input").write_bytes(NON_ASCII[case].encode())
@@ -603,27 +604,10 @@ def _run(case, directory, stream, sink, unbuffered):
     out, err = proc.communicate(timeout=120)
     if head is not None:
         out = head.communicate(timeout=120)[0]
+    elif sink == "fsize":
+        out = (directory / "out").read_bytes()
     return (proc.returncode, out or b"", err or b"",
             snapshot.read_bytes() if snapshot.exists() else None)
-
-
-@pytest.fixture(scope="module")
-def reference(tmp_path_factory):
-    """The case's reference run, made once: UTF-8, buffered, both streams
-    piped. A reference that fails its check fails every row of the case."""
-    runs = {}
-
-    def get(case):
-        if case not in runs:
-            directory = tmp_path_factory.mktemp(case)
-            code, out, err, snapshot = _run(case, directory, None, "utf-8", False)
-            # An error case writes its line and no output, any other the reverse.
-            _, want_code, want_err = ERROR_ARGV.get(case, (None, 0, ""))
-            assert (code, err, out == b"") == (want_code, want_err.encode(), case in ERROR_ARGV)
-            runs[case] = code, out, err, snapshot
-        return runs[case]
-
-    return get
 
 
 # What `_emit` reports when each stdout sink fails.
@@ -637,45 +621,81 @@ SINK_NEEDS = {
     **dict.fromkeys(["fsize", "closed"], pytest.mark.skipif(not hasattr(os, "fork"),
                                                             reason="needs preexec_fn")),
 }
-BOTH = [False, True]
-# (cases, stream, sinks, unbuffered): one row for each combination.
-STREAM_TABLE = [
-    (SUBCOMMANDS, "stdout", ["full", "fsize", "pipe", "closed"], BOTH),
-    (SUBCOMMANDS, "stdout", ["utf-8"], [True]),
-    (SUBCOMMANDS + list(NON_ASCII), "stdout", ["ascii", "latin-1"], BOTH),
-    (list(ERROR_ARGV), "stderr", ["full", "closed"], BOTH),
-    (["unknown-pair"], "stderr", ["ascii", "latin-1"], BOTH),
-    (["replay"], "stdout", ["head"], [False]),
-]
+MODE = {False: "buffered", True: "unbuffered"}
 
 
-@pytest.mark.parametrize("case, stream, sink, unbuffered", [
-    pytest.param(case, stream, sink, unbuffered, marks=SINK_NEEDS.get(sink, ()),
-                 id=f"{case}-{stream}-{sink}-{'unbuffered' if unbuffered else 'buffered'}")
-    for cases, stream, sinks, modes in STREAM_TABLE
-    for case in cases for sink in sinks for unbuffered in modes
-])
-def test_stream_contract(reference, tmp_path, case, stream, sink, unbuffered):
-    ref_code, ref_out, ref_err, ref_snapshot = reference(case)
-    code, out, err, snapshot = _run(case, tmp_path, stream, sink, unbuffered)
-    if stream == "stderr" and sink in ("full", "closed"):
-        # Nothing is left to report a failed stderr write on, so it is
-        # dropped; the error line must not move to stdout either.
-        assert (code, out) == (ref_code, b"")
-    elif sink in STDOUT_FAULTS:
-        # One line: no traceback, no "Exception ignored" from the flush at exit.
-        assert (code, err) == (2, f"error: cannot write stdout: {STDOUT_FAULTS[sink]}\n".encode())
-    elif sink == "head":
-        assert (code, out, err) == (0, ref_out[:ref_out.index(b"\n") + 1], b"")
-    else:  # Neither a locale nor the buffering mode changes a byte.
-        assert (code, out, err) == (ref_code, ref_out, ref_err)
-    if sink == "fsize":
-        # The first write takes 20 bytes and the next one fails. Unbuffered,
-        # Python's text layer would drop the rest without a word.
-        assert (tmp_path / "out").read_bytes() == ref_out[:20]
-    else:
-        # The snapshot is written before stdout, so it survives a failed write.
-        assert snapshot == ref_snapshot
+@pytest.fixture(scope="module")
+def run_case(tmp_path_factory):
+    """run_case(case, stream, sink, unbuffered) gives `_run`'s result and
+    the case's reference run: UTF-8, buffered, both streams piped, made
+    once. A reference that fails its own check fails every run of the case."""
+    references = {}
+
+    def run_case(case, stream, sink, unbuffered):
+        if case not in references:
+            ref = _run(case, tmp_path_factory.mktemp(case), None, "utf-8", False)
+            # An error case writes its line and no output, any other the reverse.
+            _, want_code, want_err = ERROR_ARGV.get(case, (None, 0, ""))
+            assert (ref[0], ref[2], ref[1] == b"") == (want_code, want_err.encode(), case in ERROR_ARGV)
+            references[case] = ref
+        return _run(case, tmp_path_factory.mktemp(case), stream, sink, unbuffered), references[case]
+
+    return run_case
+
+
+def _rows(cases, sinks):
+    """One row per case, sink and buffering mode, with the sink's skip mark."""
+    return [pytest.param(case, sink, unbuffered, marks=SINK_NEEDS[sink],
+                         id=f"{case}-{sink}-{MODE[unbuffered]}")
+            for case in cases for sink in sinks for unbuffered in MODE]
+
+
+@pytest.mark.parametrize("case, sink, unbuffered", _rows(SUBCOMMANDS, STDOUT_FAULTS))
+def test_failing_stdout_is_one_line_error(run_case, case, sink, unbuffered):
+    (code, out, err, snapshot), ref = run_case(case, "stdout", sink, unbuffered)
+    # One line: no traceback, no "Exception ignored" from the flush at exit.
+    assert (code, err) == (2, f"error: cannot write stdout: {STDOUT_FAULTS[sink]}\n".encode())
+    # The 20-byte file holds the output's first 20 bytes; unbuffered, Python's
+    # text layer would drop the rest without a word. Every other run writes
+    # its snapshot before stdout, so the snapshot survives the failed write.
+    assert (out, snapshot) == ((ref[1][:20], None) if sink == "fsize" else (b"", ref[3]))
+
+
+@pytest.mark.parametrize("case, sink, unbuffered", _rows(ERROR_ARGV, ["full", "closed"]))
+def test_unwritable_stderr_keeps_the_exit_code(run_case, case, sink, unbuffered):
+    (code, out, _, _), ref = run_case(case, "stderr", sink, unbuffered)
+    # Nothing is left to report a failed stderr write on, so it is dropped;
+    # the error line must not move to stdout either.
+    assert (code, out) == (ref[0], b"")
+
+
+# Neither the buffering mode nor a locale changes a byte.
+@pytest.mark.parametrize("case", SUBCOMMANDS)
+def test_unbuffered_stdout_is_the_buffered_bytes(run_case, case):
+    run, ref = run_case(case, "stdout", "utf-8", True)
+    assert run == ref
+
+
+def _assert_the_same_in_every_locale(run_case, case):
+    for sink in ["ascii", "latin-1"]:
+        for unbuffered in MODE:
+            run, ref = run_case(case, None, sink, unbuffered)
+            assert run == ref
+
+
+@pytest.mark.parametrize("case", SUBCOMMANDS + list(NON_ASCII))
+def test_stdout_is_utf8_whatever_the_locale(run_case, case):
+    _assert_the_same_in_every_locale(run_case, case)
+
+
+def test_stderr_is_utf8_whatever_the_locale(run_case):
+    _assert_the_same_in_every_locale(run_case, "unknown-pair")
+
+
+@SINK_NEEDS["head"]
+def test_replay_into_head_exits_0(run_case):
+    (code, out, err, snapshot), ref = run_case("replay", "stdout", "head", False)
+    assert (code, out, err, snapshot) == (0, ref[1][:ref[1].index(b"\n") + 1], b"", ref[3])
 
 
 # The contract fuzzer: `main` in process, on command lines drawn from the
