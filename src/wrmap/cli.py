@@ -82,13 +82,13 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _known_pair(datasets, text: str) -> tuple[str, str]:
-    """The observed pair that text names. Names may contain ':', so text is
-    split at each colon that leaves two non-empty names."""
-    splits = [(text[:k], text[k + 1:]) for k in range(1, len(text) - 1)
-              if text[k] == ":"]
-    if not splits:
+    """The observed pair that text spells as `resource:workload`. Names may
+    contain ':', so text may spell several pairs; they are taken in the
+    order of the colon between the two names."""
+    if ":" not in text[1:-1]:
         raise _UsageError(f"--pair must look like RESOURCE:WORKLOAD, got {text!r}")
-    known = [pair for pair in splits if pair in datasets]
+    known = sorted((pair for pair in datasets if f"{pair[0]}:{pair[1]}" == text),
+                   key=lambda pair: len(pair[0]))
     if len(known) > 1:
         names = " or ".join(f"{r},{w}" for r, w in known)
         raise _UsageError(f"--pair {text!r} is ambiguous: it names {names}")

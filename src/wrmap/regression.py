@@ -169,11 +169,12 @@ def ssr(model: RegressionModel, data: Dataset) -> float:
 def goodness_of_fit(model: RegressionModel, data: Dataset) -> float:
     """R-squared: 1 - SSR/SST.
 
-    Raises ConstantResponse when the response has zero variation and
-    NumericOverflow when a sum of squares is not finite.
+    Raises ConstantResponse when the response has zero variation (an
+    empty one included) and NumericOverflow when a sum of squares is not
+    finite.
     """
     try:
-        r_bar = fsum(data.rs) / data.n
+        r_bar = fsum(data.rs) / max(data.n, 1)
         sst = _sum_of_squares([r - r_bar for r in data.rs])
         ssr_value = ssr(model, data)
     except (OverflowError, ValueError) as exc:

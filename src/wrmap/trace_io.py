@@ -243,7 +243,7 @@ def read_state(text: Union[str, bytes]) -> AllocationState:
         data = json.loads(_decode(text), object_pairs_hook=_object_without_repeats)
     except ParseError as exc:
         raise SnapshotError(exc.reason) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"allocation"}:
         raise SnapshotError("snapshot must be an object with key 'allocation'")

@@ -6,12 +6,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from typing import NamedTuple, Optional, Union
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wrmap import trace_io
 from wrmap.cli import MARK, main, render_assignment
 from wrmap.matcher import AssignmentMatrix
 
@@ -20,460 +21,273 @@ OBSERVATIONS = str(DATA / "observations.csv")
 REFERENCE7 = str(DATA / "reference7.csv")
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+class Row(NamedTuple):
+    """A command line, the file it may read as `input`, and its outcome:
+    exit code, stdout, stderr, and the bytes it writes to `state.json`
+    (None for no file). A pattern stands for any text it matches in full."""
+
+    argv: list
+    code: int
+    out: Union[str, re.Pattern] = ""
+    err: Union[str, re.Pattern] = ""
+    input: Union[str, bytes, None] = None
+    snapshot: Optional[bytes] = None
 
 
-def assert_one_line_usage_error(code, err):
-    assert code == 2
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
+def check(capsys, monkeypatch, tmp_path, row):
+    """Run the row's command line with `main`, in tmp_path, and compare
+    the whole outcome with the row's."""
+    monkeypatch.chdir(tmp_path)
+    if row.input is not None:
+        Path("input").write_bytes(row.input.encode() if isinstance(row.input, str) else row.input)
+    code = main(row.argv)
+    out, err = capsys.readouterr()
+    snapshot = Path("state.json").read_bytes() if Path("state.json").exists() else None
+    # A text that its pattern matches compares as the pattern.
+    texts = [want if isinstance(want, re.Pattern) and want.fullmatch(text) else text
+             for text, want in [(out, row.out), (err, row.err)]]
+    assert (code, *texts, snapshot) == (row.code, row.out, row.err, row.snapshot)
 
 
-def unwritable_paths(tmp_path):
-    # A file under a missing directory, and a directory itself.
-    return [tmp_path / "missing" / "state.json", tmp_path]
+def usage(prefix):
+    """A one-line error from argparse, pinned up to prefix: its wording
+    differs between Python versions."""
+    return re.compile(re.escape(f"error: {prefix}") + "[^\n]*\n")
 
 
-class TestFit:
-    def test_single_pair_perfect_line(self, capsys):
-        code, out, err = run(
-            capsys, "fit", "--input", OBSERVATIONS, "--pair", "R1:W1"
-        )
-        assert code == 0
-        assert err == ""
-        assert out == (
-            "resource,workload,mu0_hat,mu1_hat,ssr,r2,n\n"
-            "R1,W1,0,1,0,1,3\n"
-        )
-
-    def test_single_pair_three_points(self, capsys):
-        code, out, err = run(
-            capsys, "fit", "--input", OBSERVATIONS, "--pair", "R1:W2"
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[1].startswith("R1,W2,0.333333,1.5,0.166667,0.964286,3")
-
-    def test_constant_response_blank_r2(self, capsys):
-        code, out, err = run(
-            capsys, "fit", "--input", OBSERVATIONS, "--pair", "R2:W1"
-        )
-        assert code == 0
-        assert out.splitlines()[1] == "R2,W1,5,0,0,,3"
-
-    def test_all_is_lexicographic(self, capsys):
-        code, out, err = run(capsys, "fit", "--input", OBSERVATIONS, "--all")
-        assert code == 0
-        pairs = [line.split(",")[:2] for line in out.splitlines()[1:]]
-        assert pairs == sorted(pairs)
-        assert len(pairs) == 4
-
-    def test_precision_full(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "fit", "--input", OBSERVATIONS, "--pair", "R1:W2",
-            "--precision", "full",
-        )
-        assert code == 0
-        assert ",0.3333333333333335,1.5," in out.splitlines()[1]
-
-    def test_unknown_pair(self, capsys):
-        code, out, err = run(
-            capsys, "fit", "--input", OBSERVATIONS, "--pair", "R9:W9"
-        )
-        assert code == 1
-        assert out == ""
-        assert "unknown pair" in err
-
-    def test_singular_design(self, capsys, tmp_path):
-        path = tmp_path / "singular.csv"
-        path.write_text("resource,workload,w,r\nR1,W1,1,4\nR1,W1,1,6\n")
-        code, out, err = run(capsys, "fit", "--input", str(path), "--pair", "R1:W1")
-        assert code == 1
-        assert "singular design for R1:W1" in err
-
-    def test_offset_predictor(self, capsys, tmp_path):
-        # (1,2), (2,3), (3,5) with w shifted by 1e6: spread 2, not singular.
-        path = tmp_path / "offset.csv"
-        path.write_text(
-            "resource,workload,w,r\nR1,W1,1000001,2\nR1,W1,1000002,3\nR1,W1,1000003,5\n"
-        )
-        code, out, err = run(capsys, "fit", "--input", str(path), "--pair", "R1:W1")
-        assert (code, err) == (0, "")
-        assert out.splitlines()[1] == "R1,W1,-1.5e+06,1.5,0.166667,0.964286,3"
-
-    @pytest.mark.parametrize("rows, reason", [
-        ("1e200,1\nR1,W1,2e200,2\nR1,W1,3e200,3", "numeric overflow fitting R1:W1"),
-        ("0,0\nR1,W1,1,1.2e154\nR1,W1,2,2.4e154", "numeric overflow in R-squared for R1:W1"),
-    ])
-    def test_numeric_overflow(self, capsys, tmp_path, rows, reason):
-        path = tmp_path / "huge.csv"
-        path.write_text(f"resource,workload,w,r\nR1,W1,{rows}\n")
-        code, out, err = run(capsys, "fit", "--input", str(path), "--all")
-        assert (code, out, err) == (1, "", f"error: {reason}\n")
-
-    def test_missing_file(self, capsys):
-        code, out, err = run(capsys, "fit", "--input", "no-such.csv", "--all")
-        assert code == 2
-        assert err != ""
-
-    def test_flag_misuse(self, capsys):
-        assert run(capsys, "fit", "--input", OBSERVATIONS)[0] == 2
-
-    def test_parse_error_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("resource,workload,w,r\nR1,W1,abc,2\n")
-        code, _, err = run(capsys, "fit", "--input", str(path), "--all")
-        assert code == 2
-        assert "line 2" in err
-
-    # Outside the number grammar, though float() reads most of them. The CR
-    # ends a CRLF line, which the CLI passes to the parser untranslated.
-    @pytest.mark.parametrize(
-        "number", ["1_0", " 2 ", "nan", "inf", "Infinity", "0x10", "١", "3\r"]
-    )
-    def test_number_outside_grammar(self, capsys, tmp_path, number):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(
-            f"resource,workload,w,r\nR1,W1,0,0\nR1,W1,1,{number}\nR1,W1,2,2\n".encode()
-        )
-        code, out, err = run(capsys, "fit", "--input", str(path), "--all")
-        assert (code, out, err) == (2, "", "error: line 3: invalid number\n")
-
-    def test_invalid_utf8(self, capsys, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(b"resource,workload,w,r\nR1,W1,0,0\nR1,W\xff,1,1\n")
-        code, out, err = run(capsys, "fit", "--input", str(path), "--all")
-        assert_one_line_usage_error(code, err)
-        assert err.startswith("error: line 3: invalid UTF-8")
-        assert out == ""
+def cmd(command, *flags, input=OBSERVATIONS):
+    """The command line of fit, residuals or allocate reading input."""
+    return [command, "--input", input, *flags]
 
 
-class TestResiduals:
-    def test_perfect_fit(self, capsys):
-        code, out, _ = run(
-            capsys, "residuals", "--input", OBSERVATIONS, "--pair", "R1:W1"
-        )
-        assert code == 0
-        assert out == (
-            "a,w,r,fitted,residual\n"
-            "1,1,1,1,0\n"
-            "2,2,2,2,0\n"
-            "3,3,3,3,0\n"
-        )
-
-    def test_three_points(self, capsys):
-        code, out, _ = run(
-            capsys, "residuals", "--input", OBSERVATIONS, "--pair", "R1:W2"
-        )
-        assert code == 0
-        assert out == (
-            "a,w,r,fitted,residual\n"
-            "1,1,2,1.83333,0.166667\n"
-            "2,2,3,3.33333,-0.333333\n"
-            "3,3,5,4.83333,0.166667\n"
-        )
-
-    def test_unknown_pair(self, capsys):
-        code, _, err = run(
-            capsys, "residuals", "--input", OBSERVATIONS, "--pair", "R9:W9"
-        )
-        assert code == 1
-        assert "unknown pair" in err
+def csv(rows):
+    return "resource,workload,w,r\n" + rows
 
 
+ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+EISDIR = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+FIT = "resource,workload,mu0_hat,mu1_hat,ssr,r2,n\n"
+THREE_POINTS = "0.333333,1.5,0.166667,0.964286,3\n"  # the fit of (1,2), (2,3), (3,5)
+RESIDUALS = ("a,w,r,fitted,residual\n"
+             "1,1,2,1.83333,0.166667\n2,2,3,3.33333,-0.333333\n3,3,5,4.83333,0.166667\n")
+ONE = ["--resources", "R1", "--workloads", "W1"]
+SEVEN = ["--resources", "R1,R2,R3,R4,R5,R6,R7", "--workloads", "W1,W2,W3,W4,W5,W6,W7"]
+TABLE7 = (DATA / "reference7.table").read_text(encoding="utf-8")
+EXAMPLE_REPLAY = ["replay", "--script", str(DATA / "example_build.replay")]
+TRANSCRIPT = (DATA / "example_build.out").read_text(encoding="utf-8")
+REPLAY_INPUT = ["replay", "--script", "input"]
 # Names are tokens, which may contain ':'; fit --all lists a pair R:1,W1.
 COLON_ROWS = "R:1,W1,1,2\nR:1,W1,2,3\nR:1,W1,3,5\n"
+# Script lines, numbered from 1, and the transcript they give.
+MIXED = ["# header", "INIT", "ADD R1 W1", "", "ADD R2 W1", "MAP W1",
+         "# comment", "FIND R9", "ADD R1 W2", "FIND R1"]
+MIXED_OUT = {2: "2 OK", 3: "3 OK", 5: "5 OK", 6: "6 OK R1,R2",
+             8: "8 NotMapped", 9: "9 AlreadyMapped", 10: "10 OK W1"}
 
 
-def observations(tmp_path, rows, name="obs.csv"):
-    path = tmp_path / name
-    path.write_text("resource,workload,w,r\n" + rows)
-    return str(path)
+def stop_at(k):
+    """MIXED with an EXPECT at line k that fails: the transcript stops there."""
+    actual = MIXED_OUT[k].split()[1]
+    expected = "NotMapped" if actual == "OK" else "OK"
+    return Row(REPLAY_INPUT, 1, "".join(f"{text}\n" for n, text in MIXED_OUT.items() if n <= k),
+               f"error: expectation failed at line {k}: expected {expected}, got {actual}\n",
+               "".join(f"{line} EXPECT {expected}\n" if n == k else f"{line}\n"
+                       for n, line in enumerate(MIXED, 1)))
 
 
-@pytest.mark.parametrize("command", ["fit", "residuals"])
-class TestPairContainingColon:
-    def test_split_naming_an_observed_pair(self, capsys, tmp_path, command):
-        path = observations(tmp_path, COLON_ROWS)
-        code, out, err = run(capsys, command, "--input", path, "--pair", "R:1:W1")
-        assert (code, err) == (0, "")
-        if command == "fit":
-            assert out == run(capsys, "fit", "--input", path, "--all")[1]
-            assert out.splitlines()[1].startswith("R:1,W1,")
-        else:
-            r1 = observations(tmp_path, COLON_ROWS.replace("R:1", "R1"), "r1.csv")
-            assert out == run(capsys, command, "--input", r1, "--pair", "R1:W1")[1]
-
-    @pytest.mark.parametrize("text", ["R1W1", "R1:", ":W1", ":"])
-    def test_no_split_into_two_names(self, capsys, tmp_path, command, text):
-        path = observations(tmp_path, COLON_ROWS)
-        code, out, err = run(capsys, command, "--input", path, "--pair", text)
-        assert (code, out) == (2, "")
-        assert err == f"error: --pair must look like RESOURCE:WORKLOAD, got {text!r}\n"
-
-    def test_two_splits_naming_observed_pairs(self, capsys, tmp_path, command):
-        path = observations(tmp_path, COLON_ROWS + COLON_ROWS.replace("R:1,", "R,1:"))
-        code, out, err = run(capsys, command, "--input", path, "--pair", "R:1:W1")
-        assert out == ""
-        assert_one_line_usage_error(code, err)
-        assert "ambiguous" in err and "R,1:W1" in err and "R:1,W1" in err
-
-    @pytest.mark.parametrize("text", ["R:9:W1", "R:1:W9", "R::W1"])
-    def test_no_split_naming_an_observed_pair(self, capsys, tmp_path, command, text):
-        path = observations(tmp_path, COLON_ROWS)
-        code, out, err = run(capsys, command, "--input", path, "--pair", text)
-        assert (code, out, err) == (1, "", f"error: unknown pair {text}\n")
-
-
-class TestAllocate:
-    def test_reference_table(self, capsys):
-        code, out, err = run(
-            capsys,
-            "allocate", "--input", REFERENCE7, "--at", "0.5",
-            "--resources", ",".join(f"R{i}" for i in range(1, 8)),
-            "--workloads", ",".join(f"W{j}" for j in range(1, 8)),
-        )
-        assert code == 0
-        assert out == (DATA / "reference7.table").read_text(encoding="utf-8")
-
-    def test_single_cell(self, capsys, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("resource,workload,w,r\nR1,W1,0,2\nR1,W1,1,3\n")
-        code, out, _ = run(
-            capsys,
-            "allocate", "--input", str(path), "--at", "1",
-            "--resources", "R1", "--workloads", "W1",
-        )
-        assert code == 0
-        assert out == "    W1\nR1  ✓\n"
-
-    def test_snapshot_written(self, capsys, tmp_path):
-        snapshot = tmp_path / "state.json"
-        code, _, _ = run(
-            capsys,
-            "allocate", "--input", REFERENCE7, "--at", "0.5",
-            "--resources", ",".join(f"R{i}" for i in range(1, 8)),
-            "--workloads", ",".join(f"W{j}" for j in range(1, 8)),
-            "--snapshot", str(snapshot),
-        )
-        assert code == 0
-        state = trace_io.read_state(snapshot.read_text(encoding="utf-8"))
-        assert state.allocation["R4"] == "W1"
-        assert state.allocation["R1"] == "W2"
-        assert len(state) == 7
-
-    @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
-    def test_non_finite_demand(self, capsys, at):
-        code, out, err = run(
-            capsys,
-            "allocate", "--input", REFERENCE7, f"--at={at}",
-            "--resources", "R1", "--workloads", "W1",
-        )
-        assert out == ""
-        assert_one_line_usage_error(code, err)
-
+# The in-process CLI tests, keyed by test ID: "Class::test[id]" is test
+# `test` of class `Class`, with that id. The IDs are those of the
+# hand-written tests the table replaced.
+CASES = {
+    "TestFit::test_single_pair_perfect_line":
+        Row(cmd("fit", "--pair", "R1:W1"), 0, FIT + "R1,W1,0,1,0,1,3\n"),
+    "TestFit::test_single_pair_three_points":
+        Row(cmd("fit", "--pair", "R1:W2"), 0, FIT + "R1,W2," + THREE_POINTS),
+    "TestFit::test_constant_response_blank_r2":
+        Row(cmd("fit", "--pair", "R2:W1"), 0, FIT + "R2,W1,5,0,0,,3\n"),
+    "TestFit::test_all_is_lexicographic":
+        Row(cmd("fit", "--all"), 0, f"{FIT}R1,W1,0,1,0,1,3\nR1,W2,{THREE_POINTS}"
+                                    "R2,W1,5,0,0,,3\nR2,W2,1,2,0,1,3\n"),
+    "TestFit::test_precision_full":
+        Row(cmd("fit", "--pair", "R1:W2", "--precision", "full"), 0,
+            FIT + "R1,W2,0.3333333333333335,1.5,0.16666666666666652,0.9642857142857143,3\n"),
+    "TestFit::test_unknown_pair":
+        Row(cmd("fit", "--pair", "R9:W9"), 1, err="error: unknown pair R9:W9\n"),
+    "TestFit::test_singular_design":
+        Row(cmd("fit", "--pair", "R1:W1", input="input"), 1,
+            err="error: singular design for R1:W1\n", input=csv("R1,W1,1,4\nR1,W1,1,6\n")),
+    # (1,2), (2,3), (3,5) with w shifted by 1e6: spread 2, not singular.
+    "TestFit::test_offset_predictor":
+        Row(cmd("fit", "--pair", "R1:W1", input="input"), 0,
+            FIT + "R1,W1,-1.5e+06,1.5,0.166667,0.964286,3\n",
+            input=csv("R1,W1,1000001,2\nR1,W1,1000002,3\nR1,W1,1000003,5\n")),
+    **{f"TestFit::test_numeric_overflow[{rows}-{reason}]":
+       Row(cmd("fit", "--all", input="input"), 1, err=f"error: {reason}\n",
+           input=csv(f"R1,W1,{rows}\n"))
+       for rows, reason in [
+           ("1e200,1\nR1,W1,2e200,2\nR1,W1,3e200,3", "numeric overflow fitting R1:W1"),
+           ("0,0\nR1,W1,1,1.2e154\nR1,W1,2,2.4e154", "numeric overflow in R-squared for R1:W1")]},
+    "TestFit::test_missing_file":
+        Row(cmd("fit", "--all", input="no-such.csv"), 2,
+            err=f"error: cannot read no-such.csv: {ENOENT}: 'no-such.csv'\n"),
+    "TestFit::test_flag_misuse":
+        Row(cmd("fit"), 2, err=usage("one of the arguments --pair --all is required")),
+    "TestFit::test_parse_error_exit_2":
+        Row(cmd("fit", "--all", input="input"), 2, err="error: line 2: invalid number\n",
+            input=csv("R1,W1,abc,2\n")),
+    # Outside the number grammar, though float() reads most of them. The CR
+    # ends a CRLF line, which the CLI passes to the parser untranslated.
+    **{f"TestFit::test_number_outside_grammar[{number}]":
+       Row(cmd("fit", "--all", input="input"), 2, err="error: line 3: invalid number\n",
+           input=csv(f"R1,W1,0,0\nR1,W1,1,{number}\nR1,W1,2,2\n"))
+       for number in ["1_0", " 2 ", "nan", "inf", "Infinity", "0x10", "١", "3\r"]},
+    "TestFit::test_invalid_utf8":
+        Row(cmd("fit", "--all", input="input"), 2,
+            err="error: line 3: invalid UTF-8: 'utf-8' codec can't decode byte 0xff in"
+                " position 36: invalid start byte\n",
+            input=b"resource,workload,w,r\nR1,W1,0,0\nR1,W\xff,1,1\n"),
+    "TestResiduals::test_perfect_fit":
+        Row(cmd("residuals", "--pair", "R1:W1"), 0,
+            "a,w,r,fitted,residual\n1,1,1,1,0\n2,2,2,2,0\n3,3,3,3,0\n"),
+    "TestResiduals::test_three_points": Row(cmd("residuals", "--pair", "R1:W2"), 0, RESIDUALS),
+    "TestResiduals::test_unknown_pair":
+        Row(cmd("residuals", "--pair", "R9:W9"), 1, err="error: unknown pair R9:W9\n"),
+    "TestResiduals::test_negative_zero_prints_as_0":
+        Row(cmd("residuals", "--pair", "R1:W1", input="input"), 0,
+            "a,w,r,fitted,residual\n1,0,0,0,0\n2,1,0,0,0\n3,2,0,0,0\n",
+            input=csv("R1,W1,0,-0\nR1,W1,1,-0\nR1,W1,2,-0\n")),
+    **{f"TestPairContainingColon::test_split_naming_an_observed_pair[{command}]":
+       Row(cmd(command, "--pair", "R:1:W1", input="input"), 0, out, input=csv(COLON_ROWS))
+       for command, out in [("fit", FIT + "R:1,W1," + THREE_POINTS), ("residuals", RESIDUALS)]},
+    **{f"TestPairContainingColon::test_no_split_into_two_names[{text}-{command}]":
+       Row(cmd(command, "--pair", text, input="input"), 2, input=csv(COLON_ROWS),
+           err=f"error: --pair must look like RESOURCE:WORKLOAD, got {text!r}\n")
+       for text in ["R1W1", "R1:", ":W1", ":"] for command in ["fit", "residuals"]},
+    **{f"TestPairContainingColon::test_two_splits_naming_observed_pairs[{command}]":
+       Row(cmd(command, "--pair", "R:1:W1", input="input"), 2,
+           err="error: --pair 'R:1:W1' is ambiguous: it names R,1:W1 or R:1,W1\n",
+           input=csv(COLON_ROWS + COLON_ROWS.replace("R:1,", "R,1:")))
+       for command in ["fit", "residuals"]},
+    **{f"TestPairContainingColon::test_no_split_naming_an_observed_pair[{text}-{command}]":
+       Row(cmd(command, "--pair", text, input="input"), 1, err=f"error: unknown pair {text}\n",
+           input=csv(COLON_ROWS))
+       for text in ["R:9:W1", "R:1:W9", "R::W1"] for command in ["fit", "residuals"]},
+    "TestAllocate::test_reference_table":
+        Row(cmd("allocate", "--at", "0.5", *SEVEN, input=REFERENCE7), 0, TABLE7),
+    "TestAllocate::test_single_cell":
+        Row(cmd("allocate", "--at", "1", *ONE, input="input"), 0, "    W1\nR1  ✓\n",
+            input=csv("R1,W1,0,2\nR1,W1,1,3\n")),
+    "TestAllocate::test_snapshot_written":
+        Row(cmd("allocate", "--at", "0.5", *SEVEN, "--snapshot", "state.json", input=REFERENCE7),
+            0, TABLE7, snapshot=b'{"allocation":{"R1":"W2","R2":"W3","R3":"W5","R4":"W1",'
+                                b'"R5":"W4","R6":"W6","R7":"W7"}}\n'),
+    **{f"TestAllocate::test_non_finite_demand[{at}]":
+       Row(cmd("allocate", f"--at={at}", *ONE, input=REFERENCE7), 2,
+           err=f"error: --at must be a finite number, got {at}\n")
+       for at in ["nan", "inf", "-inf"]},
     # float() reads these, but they are outside the number grammar of the
     # observations CSV, which `--at` follows.
-    @pytest.mark.parametrize("at", ["1_0", " 5 ", "١"])
-    def test_demand_outside_number_grammar(self, capsys, at):
-        code, out, err = run(
-            capsys,
-            "allocate", "--input", REFERENCE7, f"--at={at}",
-            "--resources", "R1", "--workloads", "W1",
-        )
-        assert out == ""
-        assert_one_line_usage_error(code, err)
-
-    def test_unwritable_snapshot(self, capsys, tmp_path):
-        for path in unwritable_paths(tmp_path):
-            code, out, err = run(
-                capsys,
-                "allocate", "--input", REFERENCE7, "--at", "0.5",
-                "--resources", "R1", "--workloads", "W1",
-                "--snapshot", str(path),
-            )
-            assert out == ""
-            assert_one_line_usage_error(code, err)
-
-    @pytest.mark.parametrize(
-        "resources, workloads",
-        [("R1,R2,R1", "W1"), ("R1", "W1,W1")],
-        ids=["resources", "workloads"],
-    )
-    def test_duplicate_names(self, capsys, resources, workloads):
-        code, out, err = run(
-            capsys,
-            "allocate", "--input", OBSERVATIONS, "--at", "1",
-            "--resources", resources, "--workloads", workloads,
-        )
-        assert out == ""
-        assert_one_line_usage_error(code, err)
-        assert "more than once" in err
-
-    def test_empty_name_list(self, capsys):
-        code, out, err = run(
-            capsys,
-            "allocate", "--input", OBSERVATIONS, "--at", "1",
-            "--resources", ",", "--workloads", "W1",
-        )
-        assert out == ""
-        assert_one_line_usage_error(code, err)
-        assert err == "error: --resources must list at least one name\n"
-
-    def test_overflowing_cost(self, capsys, tmp_path):
-        path = tmp_path / "steep.csv"
-        path.write_text("resource,workload,w,r\nR1,W1,1,10\nR1,W1,2,20\nR1,W1,3,30\n")
-        code, out, err = run(
-            capsys,
-            "allocate", "--input", str(path), "--at", "1e308",
-            "--resources", "R1", "--workloads", "W1",
-        )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "R1:W1" in err
-
-    def test_overflowing_fit(self, capsys, tmp_path):
-        path = tmp_path / "huge.csv"
-        path.write_text("resource,workload,w,r\nR1,W1,1e200,1\nR1,W1,2e200,2\nR1,W1,3e200,3\n")
-        code, out, err = run(
-            capsys,
-            "allocate", "--input", str(path), "--at", "1",
-            "--resources", "R1", "--workloads", "W1",
-        )
-        assert (code, out, err) == (1, "", "error: numeric overflow fitting R1:W1\n")
-
-    def test_missing_pair(self, capsys):
-        code, _, err = run(
-            capsys,
-            "allocate", "--input", OBSERVATIONS, "--at", "1",
-            "--resources", "R1,R2,R3", "--workloads", "W1,W2",
-        )
-        assert code == 1
-        assert "no observations" in err
+    **{f"TestAllocate::test_demand_outside_number_grammar[{at}]":
+       Row(cmd("allocate", f"--at={at}", *ONE, input=REFERENCE7), 2,
+           err=f"error: argument --at: invalid float value: {at!r}\n")
+       for at in ["1_0", " 5 ", "١"]},
+    **{f"TestAllocate::{name}":
+       Row(cmd("allocate", "--at", "0.5", *ONE, "--snapshot", path, input=REFERENCE7), 2,
+           err=f"error: cannot write {path}: {reason}: {path!r}\n")
+       for name, path, reason in [("test_unwritable_snapshot", "missing/state.json", ENOENT),
+                                  ("test_snapshot_is_a_directory", ".", EISDIR)]},
+    **{f"TestAllocate::test_duplicate_names[{flag}]":
+       Row(cmd("allocate", "--at", "1", "--resources", resources, "--workloads", workloads), 2,
+           err=f"error: --{flag} lists {name} more than once\n")
+       for flag, resources, workloads, name in [("resources", "R1,R2,R1", "W1", "R1"),
+                                                ("workloads", "R1", "W1,W1", "W1")]},
+    "TestAllocate::test_empty_name_list":
+        Row(cmd("allocate", "--at", "1", "--resources", ",", "--workloads", "W1"), 2,
+            err="error: --resources must list at least one name\n"),
+    "TestAllocate::test_overflowing_cost":
+        Row(cmd("allocate", "--at", "1e308", *ONE, input="input"), 1,
+            err="error: predicted cost for pair R1:W1 is not finite (inf)\n",
+            input=csv("R1,W1,1,10\nR1,W1,2,20\nR1,W1,3,30\n")),
+    "TestAllocate::test_overflowing_fit":
+        Row(cmd("allocate", "--at", "1", *ONE, input="input"), 1,
+            err="error: numeric overflow fitting R1:W1\n",
+            input=csv("R1,W1,1e200,1\nR1,W1,2e200,2\nR1,W1,3e200,3\n")),
+    "TestAllocate::test_missing_pair":
+        Row(cmd("allocate", "--at", "1", "--resources", "R1,R2,R3", "--workloads", "W1,W2"), 1,
+            err="error: no observations for pair R3:W1\n"),
+    "TestReplay::test_golden_transcript": Row(EXAMPLE_REPLAY, 0, TRANSCRIPT),
+    "TestReplay::test_snapshot_out":
+        Row(EXAMPLE_REPLAY + ["--snapshot-out", "state.json"], 0, TRANSCRIPT,
+            snapshot=(DATA / "example_build.json").read_bytes()),
+    **{f"TestReplay::{name}":
+       Row(EXAMPLE_REPLAY + ["--snapshot-out", path], 2,
+           err=f"error: cannot write {path}: {reason}: {path!r}\n")
+       for name, path, reason in [("test_unwritable_snapshot_out", "missing/state.json", ENOENT),
+                                  ("test_snapshot_out_is_a_directory", ".", EISDIR)]},
+    "TestReplay::test_duplicate_add_expected":
+        Row(REPLAY_INPUT, 0, "1 OK\n2 OK\n3 AlreadyMapped\n",
+            input="INIT\nADD Res1 W1\nADD Res1 W2 EXPECT AlreadyMapped\n"),
+    "TestReplay::test_expectation_failure":
+        Row(REPLAY_INPUT, 1, "1 OK\n2 OK\n3 AlreadyMapped\n",
+            "error: expectation failed at line 3: expected OK, got AlreadyMapped\n",
+            "INIT\nADD Res1 W1\nADD Res1 W2 EXPECT OK\nFIND Res1\n"),
+    "TestReplay::test_comments_and_blank_lines_only":
+        Row(REPLAY_INPUT, 0, input="# nothing to run\n\n   \n# still nothing\n"),
+    **{f"TestReplay::test_expectation_failure_stops_at_its_line[{k}]": stop_at(k)
+       for k in [3, 6, 8, 9, 10]},
+    "TestReplay::test_parse_error":
+        Row(REPLAY_INPUT, 2, err="error: line 2: unknown command 'DROP'\n",
+            input="INIT\nDROP Res1\n"),
+    "test_bad_command_line_is_one_line_error[argv0]":
+        Row([], 2, err=usage("the following arguments are required: command")),
+    "test_bad_command_line_is_one_line_error[argv1]":
+        Row(cmd("allocate", "--at", "abc", *ONE, input=REFERENCE7), 2,
+            err="error: argument --at: invalid float value: 'abc'\n"),
+    "test_bad_command_line_is_one_line_error[argv2]":
+        Row(cmd("fit", "--pair", "R1:W1", "--all"), 2, err=usage("argument --all: ")),
+    "test_bad_command_line_is_one_line_error[argv3]":
+        Row(["replay", "--script", "x.replay", "--snapshot"], 2,
+            err=usage("argument --snapshot-out: ")),
+    "test_help_exits_0":
+        Row(["allocate", "--help"], 0, re.compile("usage: wrmap allocate .*", re.S)),
+}
 
 
-class TestReplay:
-    SCRIPT = str(DATA / "example_build.replay")
-
-    def test_golden_transcript(self, capsys):
-        code, out, err = run(capsys, "replay", "--script", self.SCRIPT)
-        assert code == 0
-        assert err == ""
-        assert out == (DATA / "example_build.out").read_text(encoding="utf-8")
-
-    def test_snapshot_out(self, capsys, tmp_path):
-        snapshot = tmp_path / "state.json"
-        code, _, _ = run(
-            capsys,
-            "replay", "--script", self.SCRIPT, "--snapshot-out", str(snapshot),
-        )
-        assert code == 0
-        assert snapshot.read_bytes() == (DATA / "example_build.json").read_bytes()
-
-    def test_unwritable_snapshot_out(self, capsys, tmp_path):
-        for path in unwritable_paths(tmp_path):
-            code, out, err = run(
-                capsys,
-                "replay", "--script", self.SCRIPT, "--snapshot-out", str(path),
-            )
-            assert out == ""
-            assert_one_line_usage_error(code, err)
-
-    def test_duplicate_add_expected(self, capsys, tmp_path):
-        script = tmp_path / "dup.replay"
-        script.write_text(
-            "INIT\nADD Res1 W1\nADD Res1 W2 EXPECT AlreadyMapped\n"
-        )
-        code, out, _ = run(capsys, "replay", "--script", str(script))
-        assert code == 0
-        assert out.splitlines()[-1] == "3 AlreadyMapped"
-
-    def test_expectation_failure(self, capsys, tmp_path):
-        script = tmp_path / "fail.replay"
-        script.write_text("INIT\nADD Res1 W1\nADD Res1 W2 EXPECT OK\nFIND Res1\n")
-        code, out, err = run(capsys, "replay", "--script", str(script))
-        assert code == 1
-        assert "expectation failed at line 3" in err
-        assert out.splitlines() == ["1 OK", "2 OK", "3 AlreadyMapped"]
-
-    def test_comments_and_blank_lines_only(self, capsys, tmp_path):
-        script = tmp_path / "empty.replay"
-        script.write_text("# nothing to run\n\n   \n# still nothing\n")
-        assert run(capsys, "replay", "--script", str(script)) == (0, "", "")
-
-    # Script lines, numbered from 1, and the transcript they give.
-    MIXED = [
-        "# header", "INIT", "ADD R1 W1", "", "ADD R2 W1", "MAP W1",
-        "# comment", "FIND R9", "ADD R1 W2", "FIND R1",
-    ]
-    MIXED_OUT = {
-        2: "2 OK", 3: "3 OK", 5: "5 OK", 6: "6 OK R1,R2",
-        8: "8 NotMapped", 9: "9 AlreadyMapped", 10: "10 OK W1",
-    }
-
-    @pytest.mark.parametrize("k", [3, 6, 8, 9, 10])
-    def test_expectation_failure_stops_at_its_line(self, capsys, tmp_path, k):
-        actual = self.MIXED_OUT[k].split()[1]
-        expected = "NotMapped" if actual == "OK" else "OK"
-        lines = list(self.MIXED)
-        lines[k - 1] += f" EXPECT {expected}"
-        script = tmp_path / "stop.replay"
-        script.write_text("\n".join(lines) + "\n")
-        code, out, err = run(capsys, "replay", "--script", str(script))
-        assert code == 1
-        assert out == "".join(
-            f"{text}\n" for line, text in self.MIXED_OUT.items() if line <= k
-        )
-        assert err == (
-            f"error: expectation failed at line {k}: expected {expected}, got {actual}\n"
-        )
-
-    def test_parse_error(self, capsys, tmp_path):
-        script = tmp_path / "bad.replay"
-        script.write_text("INIT\nDROP Res1\n")
-        code, _, err = run(capsys, "replay", "--script", str(script))
-        assert code == 2
-        assert "line 2" in err
+def _define_table_tests():
+    """Define each test that CASES names: `check` over its rows."""
+    tests = {}
+    for key, row in CASES.items():
+        name, _, param = key.partition("[")
+        tests.setdefault(name, {})[param[:-1]] = row
+    for name, rows in tests.items():
+        if list(rows) == [""]:
+            def test(capsys, monkeypatch, tmp_path, row=rows[""]):
+                check(capsys, monkeypatch, tmp_path, row)
+        else:
+            @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+            def test(capsys, monkeypatch, tmp_path, row):
+                check(capsys, monkeypatch, tmp_path, row)
+        cls, _, func = name.rpartition("::")
+        if cls:
+            setattr(globals().setdefault(cls, type(cls, (), {})), func, staticmethod(test))
+        else:
+            globals()[func] = test
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["allocate", "--input", REFERENCE7, "--at", "abc",
-         "--resources", "R1", "--workloads", "W1"],
-        ["fit", "--input", OBSERVATIONS, "--pair", "R1:W1", "--all"],
-        ["replay", "--script", "x.replay", "--snapshot"],
-    ],
-)
-def test_bad_command_line_is_one_line_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert out == ""
-    assert_one_line_usage_error(code, err)
+_define_table_tests()
 
 
-def test_help_exits_0(capsys):
-    code, out, err = run(capsys, "allocate", "--help")
-    assert code == 0
-    assert out.startswith("usage: wrmap allocate")
-    assert err == ""
-
-
-def test_transcripts_deterministic(capsys):
-    first = run(capsys, "fit", "--input", OBSERVATIONS, "--all")
-    second = run(capsys, "fit", "--input", OBSERVATIONS, "--all")
-    assert first == second
-    argv = [
-        "allocate", "--input", REFERENCE7, "--at", "0.5",
-        "--resources", ",".join(f"R{i}" for i in range(1, 8)),
-        "--workloads", ",".join(f"W{j}" for j in range(1, 8)),
-    ]
-    assert run(capsys, *argv) == run(capsys, *argv)
+def test_pair_with_16000_colons(capsys, monkeypatch, tmp_path):
+    # Memory stays linear in the text: its 16,000 splits at a colon, if
+    # built, would hold about 250 MB.
+    text = "R" + ":" * 16_000 + "W"
+    tracemalloc.start()
+    try:
+        check(capsys, monkeypatch, tmp_path,
+              Row(cmd("fit", "--pair", text), 1, err=f"error: unknown pair {text}\n"))
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def reference_render_assignment(m):

@@ -164,6 +164,9 @@ def test_goodness_of_fit():
     flat = Dataset.from_pairs([(0, 5), (1, 5), (2, 5)])
     with pytest.raises(regression.ConstantResponse):
         regression.goodness_of_fit(regression.fit(flat), flat)
+    # An empty response has no variation either.
+    with pytest.raises(regression.ConstantResponse):
+        regression.goodness_of_fit(model, Dataset([]))
 
 
 def test_dataset_columns_and_constructors():

@@ -353,6 +353,9 @@ class TestSnapshots:
             # json.loads alone keeps the last of a repeated key.
             '{"allocation":{"R1":"W1","R1":"W2"}}',
             '{"allocation":{},"allocation":{}}',
+            # Nested past the decoder's recursion limit.
+            pytest.param("[" * 100_000, id="nested-too-deep"),
+            pytest.param('{"allocation":' + "[" * 100_000, id="allocation-nested-too-deep"),
         ],
     )
     def test_malformed_snapshots(self, bad):
