@@ -202,12 +202,13 @@ def cmd_allocate(args) -> int:
     datasets = trace_io.parse_observations(_read_file(args.input))
     resources = _parse_names(args.resources, "--resources")
     workloads = _parse_names(args.workloads, "--workloads")
-    needed = [(r, w) for r in resources for w in workloads]
-    missing = [pair for pair in needed if pair not in datasets]
-    if missing:
-        r, w = missing[0]
-        raise _DomainError(f"no observations for pair {r}:{w}")
-    models = _fit_all(datasets, needed)
+    # Find the first missing pair before building all R * W pairs, whose
+    # list, for names that were never observed, could exhaust memory.
+    for r in resources:
+        for w in workloads:
+            if (r, w) not in datasets:
+                raise _DomainError(f"no observations for pair {r}:{w}")
+    models = _fit_all(datasets, [(r, w) for r in resources for w in workloads])
     try:
         costs = matcher.build_cost_matrix(models, resources, workloads, args.at)
         assignment = matcher.assign(costs)

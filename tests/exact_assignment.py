@@ -1,9 +1,11 @@
-"""The tests' exact assignment oracle, a subset DP over Fractions, and its fixtures."""
+"""The tests' two exact assignment oracles and their fixtures: a subset DP
+over Fractions, and scipy re-solves on integer grids."""
 
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from wrmap.matcher import CostMatrix
 
@@ -54,3 +56,31 @@ def exact_optima(grid):
         return least, sum(count for total, count, _ in ends if total == least), marks
 
     return optima(0, 0)
+
+
+def reference_lex_min(grid):
+    """`assign`'s marks on integer costs below 2^40, on which scipy's float
+    sums are exact: each row in turn takes the smallest column that still
+    allows an optimal completion, one scipy solve per (row, candidate).
+    Zero-cost rows or columns after the real ones square the grid up, so
+    an unmarked row takes a padding column and ranks after every real one.
+    """
+    grid = np.asarray(grid)
+    assert grid.dtype.kind in "iu" and (abs(grid) < 2**40).all()
+    n_res, n_wl = grid.shape
+    n = max(n_res, n_wl)
+    cost = np.zeros((n, n), dtype=np.int64)
+    cost[:n_res, :n_wl] = grid
+    best = cost[linear_sum_assignment(cost)].sum()
+    remaining = list(range(n))
+    marks = set()
+    for i in range(n_res):
+        for j in remaining:
+            rest = cost[i + 1:, [c for c in remaining if c != j]]
+            if cost[i, j] + rest[linear_sum_assignment(rest)].sum() == best:
+                best -= cost[i, j]
+                remaining.remove(j)
+                if j < n_wl:
+                    marks.add((i, j))
+                break
+    return marks

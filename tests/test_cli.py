@@ -290,6 +290,20 @@ def test_pair_with_16000_colons(capsys, monkeypatch, tmp_path):
         tracemalloc.stop()
 
 
+def test_allocate_with_2000_by_2000_names(capsys, monkeypatch, tmp_path):
+    # The first missing pair is found without the 4,000,000 pairs, which
+    # would hold about 280 MB.
+    resources, workloads = (",".join(f"{p}{k}" for k in range(2_000)) for p in "RW")
+    tracemalloc.start()
+    try:
+        check(capsys, monkeypatch, tmp_path,
+              Row(cmd("allocate", "--at", "1", "--resources", resources, "--workloads", workloads,
+                      input=REFERENCE7), 1, err="error: no observations for pair R0:W0\n"))
+        assert tracemalloc.get_traced_memory()[1] < 16 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def reference_render_assignment(m):
     """The check-mark table built cell by cell, each cell padded with an
     f-string: the oracle for `render_assignment`."""

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -9,7 +10,9 @@ from wrmap import core, matcher
 from wrmap.matcher import AssignmentMatrix, CostMatrix
 from wrmap.regression import RegressionModel
 
-from exact_assignment import REFERENCE_MARKS, costs_of, exact, exact_optima
+from exact_assignment import (
+    REFERENCE_MARKS, costs_of, exact, exact_optima, reference_lex_min,
+)
 
 
 def permutation_optima(grid):
@@ -30,127 +33,16 @@ def permutation_optima(grid):
 
 
 def test_exact_optima_matches_permutation_optima():
-    # The kinds of cost the tests below hand to `exact_optima`.
+    # The kinds of cost the tests below hand to the oracles; the scipy
+    # one takes integers only.
     rng = np.random.default_rng(71)
     for shape in itertools.product(range(1, 6), repeat=2):
         for _ in range(6):
-            for grid in (rng.integers(0, 3, shape), rng.integers(-100, 101, shape) / 10,
+            ties = rng.integers(0, 3, shape)
+            for grid in (ties, rng.integers(-100, 101, shape) / 10,
                          rng.choice([0.0, 5e-324, 1e300, -1e300], shape)):
                 assert exact_optima(grid) == permutation_optima(grid)
-
-
-def reference_lex_min(cost):
-    """The earlier implementation of the tie-break, kept as a reference:
-    one solve per (row, candidate column), fixing each row to the smallest
-    column that still allows an optimal completion. Square input of small
-    integers only, on which scipy's sums are exact.
-    """
-    n = cost.shape[0]
-    row_ind, col_ind = linear_sum_assignment(cost)
-    best = float(cost[row_ind, col_ind].sum())
-    remaining = list(range(n))
-    fixed = 0.0
-    chosen = set()
-    for i in range(n):
-        rest_rows = list(range(i + 1, n))
-        for j in remaining:
-            rest_cols = [c for c in remaining if c != j]
-            if rest_rows:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                rr, cc = linear_sum_assignment(sub)
-                completion = float(sub[rr, cc].sum())
-            else:
-                completion = 0.0
-            if fixed + cost[i, j] + completion <= best:
-                chosen.add((i, j))
-                fixed += float(cost[i, j])
-                remaining.remove(j)
-                break
-    return chosen
-
-
-def reference_reachable_to(rows_of, col_of, row, target, wanted):
-    """Reverse breadth-first search for alternating paths into column target.
-
-    Part of the tie-break as it was before `_lex_min_tight` became one
-    function, kept as a reference. rows_of[c] lists the rows with a tight
-    cell in column c. Returns nxt, where nxt[c] >= 0 means the row holding
-    column c can move to column nxt[c] along a tight cell, and so on until
-    target is reached. Rows up to and including row never move. The search
-    stops early once column wanted is reached.
-    """
-    nxt = [-1] * len(col_of)
-    visited = [k <= row for k in range(len(col_of))]
-    frontier = [target]
-    while frontier and nxt[wanted] < 0:
-        reached = []
-        for c in frontier:
-            for r in rows_of[c]:
-                if not visited[r]:
-                    visited[r] = True
-                    nxt[col_of[r]] = c
-                    reached.append(col_of[r])
-        frontier = reached
-    return nxt
-
-
-def reference_lex_min_tight(tight, col_of):
-    """Lexicographically smallest perfect matching inside the tight subgraph.
-
-    The earlier tie-break, kept as a reference. tight[i] lists row i's
-    tight columns in ascending order, and col_of is a perfect matching
-    made of tight cells.
-    """
-    n = len(col_of)
-    col_of = list(col_of)
-    row_of = [0] * n
-    for i, j in enumerate(col_of):
-        row_of[j] = i
-    rows_of = [[] for _ in range(n)]
-    for i, cols in enumerate(tight):
-        for j in cols:
-            rows_of[j].append(i)
-    for i in range(n):
-        target = col_of[i]
-        candidates = [j for j in tight[i] if j < target and row_of[j] > i]
-        if not candidates:
-            continue
-        nxt = reference_reachable_to(rows_of, col_of, i, target, candidates[0])
-        reachable = [j for j in candidates if nxt[j] >= 0]
-        if not reachable:
-            continue
-        path = [reachable[0]]
-        while path[-1] != target:
-            path.append(nxt[path[-1]])
-        owners = [row_of[c] for c in path[:-1]]
-        for owner, c in zip(owners, path[1:]):
-            col_of[owner] = c
-            row_of[c] = owner
-        col_of[i] = path[0]
-        row_of[path[0]] = i
-    return col_of
-
-
-def reference_tie_break_marks(grid):
-    """`assign`'s marks on an integer grid, tie-broken by the reference:
-    one solve, zero-cost dummies at potential 0, the tight cells listed
-    per row, then `reference_lex_min_tight`."""
-    matrix = grid.tolist()
-    n_res, n_wl = grid.shape
-    col_of, u, v = matcher.linear_sum_assignment(matrix)
-    n = max(n_res, n_wl)
-    free = iter(sorted(set(range(n)).difference(col_of)))
-    col_of = [j if j >= 0 else next(free) for j in col_of]
-    col_of += [next(free) for _ in range(n - n_res)]
-    u += [0] * (n - n_res)
-    v += [0] * (n - n_wl)
-    square = [row + [0] * (n - n_wl) for row in matrix] + [[0] * n] * (n - n_res)
-    tight = [
-        [j for j, (c, vj) in enumerate(zip(row, v)) if c - ui == vj]
-        for row, ui in zip(square, u)
-    ]
-    col_of = reference_lex_min_tight(tight, col_of)
-    return {(i, j) for i, j in enumerate(col_of[:n_res]) if j < n_wl}
+            assert reference_lex_min(ties) == permutation_optima(ties)[2]
 
 
 def test_build_cost_matrix_constant():
@@ -288,11 +180,10 @@ def test_assign_row_column_shift_invariance():
     for _ in range(25):
         n = int(rng.integers(2, 6))
         grid = rng.uniform(0, 10, (n, n))
-        base = matcher.assign(costs_of(grid.tolist()))
         shifted = grid.copy()
         shifted[int(rng.integers(0, n)), :] += 5.0
         shifted[:, int(rng.integers(0, n))] -= 3.0
-        assert matcher.assign(costs_of(shifted.tolist())).marks == base.marks
+        assert matcher.assign(costs_of(shifted)).marks == exact_optima(grid)[2]
 
 
 def test_matrix_to_state_reference():
@@ -384,26 +275,32 @@ def test_assign_rectangular_finds_optimum_among_large_costs():
     assert result.total_cost() == 1_999_999.0
 
 
-def test_assign_agrees_with_reference_tie_break():
+def sparse_zero_grids():
     rng = np.random.default_rng(43)
     for n in list(range(1, 31)) + [30] * 5:
         # Few zeros, so the optimum is rarely all-zero and ties span rows.
-        grid = rng.integers(1, 4, (n, n)) * (rng.random((n, n)) > 0.05)
-        grid = grid.astype(float)
-        assert matcher.assign(costs_of(grid)).marks == reference_lex_min(grid)
+        yield rng.integers(1, 4, (n, n)) * (rng.random((n, n)) > 0.05)
 
 
-# Past the sizes the exact oracles reach, in both orientations, since the
-# shorter side is padded with zero-cost dummies that tie with each other.
-# top == 0 is the all-zero matrix, where every perfect matching is optimal.
-@pytest.mark.parametrize("shape", [(60, 150), (150, 60), (96, 80), (80, 96),
-                                   (120, 120)])
-@pytest.mark.parametrize("top", [0, 1, 2])
-def test_assign_agrees_with_reference_lex_min_tight_beyond_brute_force(shape, top):
+def small_integer_grids(shape, top):
+    # top == 0 is the all-zero matrix, where every perfect matching is optimal.
     rng = np.random.default_rng(67 + top + sum(shape))
     for _ in range(1 if top == 0 else 3):
-        grid = rng.integers(0, top + 1, shape)
-        assert matcher.assign(costs_of(grid)).marks == reference_tie_break_marks(grid)
+        yield rng.integers(0, top + 1, shape)
+
+
+# Past the sizes the exact DP reaches, in both orientations, since the
+# shorter side is padded with zero-cost dummies that tie with each other.
+LARGE_GRIDS = {"sparse-zeros": sparse_zero_grids, **{
+    f"{top}-{r}x{c}": functools.partial(small_integer_grids, (r, c), top)
+    for top in range(3) for r, c in [(60, 150), (150, 60), (96, 80), (80, 96), (120, 120)]
+}}
+
+
+@pytest.mark.parametrize("grids", LARGE_GRIDS.values(), ids=LARGE_GRIDS)
+def test_assign_agrees_with_reference_lex_min(grids):
+    for grid in grids():
+        assert matcher.assign(costs_of(grid)).marks == reference_lex_min(grid)
 
 
 @st.composite
@@ -435,8 +332,9 @@ def shifted_grids(draw, unit, shifts):
 def test_assign_marks_invariant_under_row_or_column_shift(grids):
     # Quarters plus integers up to 2^40 add exactly, so every total moves
     # by the same shift and the same marks win.
-    grid, shifted = grids
-    assert matcher.assign(costs_of(shifted)).marks == matcher.assign(costs_of(grid)).marks
+    grid = grids[0]
+    for costs in grids:
+        assert matcher.assign(costs_of(costs)).marks == exact_optima(grid)[2]
 
 
 @settings(max_examples=200, deadline=None)

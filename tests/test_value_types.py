@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 
@@ -75,3 +76,23 @@ def test_cost_matrix_rejects_malformed_input(resources, workloads, cost, message
     with pytest.raises(ValueError, match=message):
         CostMatrix(resources, workloads, cost)
 
+
+@pytest.mark.parametrize(
+    "value, fields", VALUES, ids=[type(value).__name__ for value, _ in VALUES]
+)
+def test_equality_with_another_type_is_not_implemented(value, fields):
+    assert value.__eq__(object()) is NotImplemented
+    assert value != object()
+
+
+@pytest.mark.parametrize(
+    "mark", [(0, 1), (1, 0), (-1, 0), (0, -1)], ids=lambda mark: "%d,%d" % mark
+)
+def test_assignment_matrix_rejects_a_mark_out_of_range(mark):
+    with pytest.raises(ValueError, match=f"^mark out of range: {re.escape(str(mark))}$"):
+        AssignmentMatrix(("R1",), ("W1",), frozenset({mark}))
+
+
+def test_total_cost_needs_a_cost_matrix():
+    with pytest.raises(ValueError, match="^no cost matrix attached$"):
+        AssignmentMatrix(("R1",), ("W1",), frozenset({(0, 0)})).total_cost()
