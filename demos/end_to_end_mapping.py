@@ -8,15 +8,10 @@ resulting allocation state.
 
 from pathlib import Path
 
-from wrmap import (
-    assign,
-    build_cost_matrix,
-    find,
-    fit,
-    map_query,
-    matrix_to_state,
-)
 from wrmap.cli import render_assignment
+from wrmap.core import find, map_query
+from wrmap.matcher import assign, build_cost_matrix, matrix_to_state
+from wrmap.regression import fit
 from wrmap.trace_io import parse_observations, write_state
 
 data_dir = Path(__file__).parent.parent / "tests" / "data"

@@ -7,7 +7,7 @@ over the coefficient plane.
 
 import numpy as np
 
-from wrmap import Dataset, fit, goodness_of_fit, predict, residuals
+from wrmap.regression import Dataset, fit, goodness_of_fit, predict, residuals
 
 data = Dataset.from_pairs([(1, 2), (2, 3), (3, 5)])
 model = fit(data)

@@ -6,7 +6,7 @@ untouched, which the trailing checks demonstrate.
 
 from pathlib import Path
 
-from wrmap import Report, add
+from wrmap.core import Report, add
 from wrmap.trace_io import parse_replay, run_replay, write_state
 
 data_dir = Path(__file__).parent.parent / "tests" / "data"

@@ -11,7 +11,7 @@ that `ssr` computes, from the one definition of the residuals.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import fsum, isfinite
+from math import frexp, fsum, isfinite, ldexp
 from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
@@ -102,6 +102,18 @@ class NumericOverflow(RegressionError):
 # magnitude, at or below which the slope denominator is treated as zero.
 _SINGULAR_TOL = 1e-12
 
+# `fit` sums the predictor as given while the binary exponent E of its
+# largest magnitude (2**(E-1) <= max|w| < 2**E) is in -470..479, that is,
+# while _W_SMALL <= max|w| < _W_LARGE; otherwise it sums w * 2**-E.
+# - Overflow: each |w - w_bar| < 2**(E+1) and n < 2**63, so fsum(ws) and
+#   sxx stay below 2**(E+63) and 2**(2E+65), finite for E <= 479.
+# - Underflow: 1e-12 > 2**-40, so the singular threshold n * bound**2
+#   exceeds 2**(2E-82), a normal float for E >= -470. An sxx that passes
+#   is normal too, and squares below 2**-1022 cost it at most n * 2**-1075,
+#   half its ulp.
+# sxy also grows with r; its overflow is the response's, on either path.
+_W_SMALL, _W_LARGE = 2.0**-471, 2.0**479
+
 
 def _residuals(mu0: float, mu1: float, ws: tuple, rs: tuple) -> list[float]:
     return [r - (mu0 + mu1 * w) for w, r in zip(ws, rs)]
@@ -117,29 +129,37 @@ def fit(data: Dataset) -> RegressionModel:
     Two passes: the means, then the centered sums in
     slope = sum((w - w_bar) * (r - r_bar)) / sum((w - w_bar) * (w - w_bar)),
     which lose no precision to an offset in w or r (Chan, Golub and LeVeque
-    1983). Raises InsufficientData for n < 2, SingularDesign when the
-    predictor values coincide to within 1e-12 of their largest magnitude
-    (or their squared spread underflows to 0), and NumericOverflow when an
-    intermediate is not finite. n = 2 interpolates exactly (ssr = 0, no
-    variance estimate).
+    1983). A predictor too large or too small for these sums is first
+    scaled by a power of two, and the slope scaled back. Raises
+    InsufficientData for n < 2, SingularDesign when the predictor values
+    coincide to within 1e-12 of their largest magnitude, and
+    NumericOverflow when an intermediate is not finite. n = 2 interpolates
+    (ssr is 0 up to rounding, and there is no variance estimate).
     """
     ws, rs = data
     n = len(ws)
     if n < 2:
         raise InsufficientData(f"need at least 2 observations, got {n}")
+    sws, w_max = ws, max(map(abs, ws))
+    shift = 0
+    if not _W_SMALL <= w_max < _W_LARGE:
+        # Exact, but for values more than 2**1022 times below w_max.
+        shift = frexp(w_max)[1]
+        sws, w_max = [ldexp(w, -shift) for w in ws], ldexp(w_max, -shift)
     try:
-        w_bar = fsum(ws) / n
+        w_bar = fsum(sws) / n
         r_bar = fsum(rs) / n
-        dws = [w - w_bar for w in ws]
+        dws = [w - w_bar for w in sws]
         sxx = _sum_of_squares(dws)
         sxy = fsum(map(mul, dws, [r - r_bar for r in rs]))
         if not (isfinite(sxx) and isfinite(sxy)):
             raise OverflowError
-        bound = _SINGULAR_TOL * max(map(abs, ws))
+        bound = _SINGULAR_TOL * w_max
         if sxx <= n * bound * bound:
             raise SingularDesign("all predictor values are (nearly) equal")
         mu1 = sxy / sxx
         mu0 = r_bar - mu1 * w_bar
+        mu1 = ldexp(mu1, -shift)
         ssr_value = _sum_of_squares(_residuals(mu0, mu1, ws, rs))
         if not (isfinite(mu1) and isfinite(mu0) and isfinite(ssr_value)):
             raise OverflowError

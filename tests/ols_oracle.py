@@ -1,12 +1,26 @@
-"""The tests' OLS oracle and datasets: a brute-force SSR grid search."""
+"""The tests' OLS oracles, an exact rational fit and an SSR grid search, and datasets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from wrmap.regression import Dataset
 
 THREE_POINTS = Dataset.from_pairs([(1, 2), (2, 3), (3, 5)])
+
+
+def exact_fit(data):
+    """Slope, intercept and SSR of the least-squares line, as Fractions
+    computed exactly from the float inputs."""
+    ws = [Fraction(w) for w in data.ws]
+    rs = [Fraction(r) for r in data.rs]
+    n = len(ws)
+    w_bar, r_bar = sum(ws) / n, sum(rs) / n
+    sxx = sum((w - w_bar) ** 2 for w in ws)
+    slope = sum((w - w_bar) * (r - r_bar) for w, r in zip(ws, rs)) / sxx
+    intercept = r_bar - slope * w_bar
+    return slope, intercept, sum((r - intercept - slope * w) ** 2 for w, r in zip(ws, rs))
 
 
 def grid_search_ssr(data, lo=-5.0, hi=5.0, step=1e-3):

@@ -121,11 +121,17 @@ CASES = {
         Row(cmd("fit", "--pair", "R1:W1", input="input"), 0,
             FIT + "R1,W1,-1.5e+06,1.5,0.166667,0.964286,3\n",
             input=csv("R1,W1,1000001,2\nR1,W1,1000002,3\nR1,W1,1000003,5\n")),
+    # (1,2), (2,3), (3,5) with w scaled by 2^k: test_precision_full's fit, its slope over 2^k.
+    **{f"TestFit::test_predictor_scale[2^{k}]":
+       Row(cmd("fit", "--pair", "R1:W1", "--precision", "full", input="input"), 0,
+           f"{FIT}R1,W1,0.3333333333333335,{1.5 / 2.0**k!r},0.16666666666666652,0.9642857142857143,3\n",
+           input=csv("".join(f"R1,W1,{w * 2.0**k!r},{r}\n" for w, r in [(1, 2), (2, 3), (3, 5)])))
+       for k in (600, -600)},
     **{f"TestFit::test_numeric_overflow[{rows}-{reason}]":
        Row(cmd("fit", "--all", input="input"), 1, err=f"error: {reason}\n",
            input=csv(f"R1,W1,{rows}\n"))
        for rows, reason in [
-           ("1e200,1\nR1,W1,2e200,2\nR1,W1,3e200,3", "numeric overflow fitting R1:W1"),
+           ("1,1e200\nR1,W1,2,2e200\nR1,W1,3,5e200", "numeric overflow fitting R1:W1"),
            ("0,0\nR1,W1,1,1.2e154\nR1,W1,2,2.4e154", "numeric overflow in R-squared for R1:W1")]},
     "TestFit::test_missing_file":
         Row(cmd("fit", "--all", input="no-such.csv"), 2,
@@ -211,7 +217,7 @@ CASES = {
     "TestAllocate::test_overflowing_fit":
         Row(cmd("allocate", "--at", "1", *ONE, input="input"), 1,
             err="error: numeric overflow fitting R1:W1\n",
-            input=csv("R1,W1,1e200,1\nR1,W1,2e200,2\nR1,W1,3e200,3\n")),
+            input=csv("R1,W1,1,1e200\nR1,W1,2,2e200\nR1,W1,3,5e200\n")),
     "TestAllocate::test_missing_pair":
         Row(cmd("allocate", "--at", "1", "--resources", "R1,R2,R3", "--workloads", "W1,W2"), 1,
             err="error: no observations for pair R3:W1\n"),
