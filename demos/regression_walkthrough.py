@@ -9,7 +9,7 @@ import numpy as np
 
 from wrmap.regression import Dataset, fit, goodness_of_fit, predict, residuals
 
-data = Dataset.from_pairs([(1, 2), (2, 3), (3, 5)])
+data = Dataset([1, 2, 3], [2, 3, 5])
 model = fit(data)
 
 print("intercept :", model.mu0_hat)
@@ -22,8 +22,8 @@ print("prediction at w=2 (the mean point):", predict(model, 2.0))
 # Sanity check: a coarse brute-force scan of the SSR surface should land
 # next to the closed-form coefficients.
 grid = np.arange(-5, 5, 0.01)
-ws = np.array([o.w for o in data.observations])
-rs = np.array([o.r for o in data.observations])
+ws = np.array(data.ws)
+rs = np.array(data.rs)
 surface = sum(
     (r - grid[None, :] - grid[:, None] * w) ** 2 for w, r in zip(ws, rs)
 )

@@ -72,7 +72,7 @@ class AllocationState:
     Beside the mapping the state keeps `_resources_of`, the inverse index
     workload -> strictly increasing tuple of resources. It is derived from
     the mapping, so equality, hashing, `pairs`, `allocation` and
-    `available_resources` ignore it.
+    `available` ignore it.
     """
 
     __slots__ = ("_base", "_recent", "_resources_of")
@@ -112,10 +112,6 @@ class AllocationState:
     @property
     def allocation(self) -> dict[str, str]:
         return dict(self._merged())
-
-    @property
-    def available_resources(self) -> frozenset[str]:
-        return frozenset(self._merged())
 
     def __len__(self) -> int:
         return len(self._base) + len(self._recent)
@@ -190,4 +186,4 @@ def map_query(state: AllocationState, rank: str) -> OpOutcome:
 
 def available(state: AllocationState) -> frozenset[str]:
     """The set of resources the analyzer knows about."""
-    return state.available_resources
+    return frozenset(state._merged())

@@ -32,48 +32,29 @@ class ConstantResponse(RegressionError):
     """Zero total sum of squares; R-squared is undefined."""
 
 
-class Observation(NamedTuple):
-    w: float  # independent: workload measure
-    r: float  # dependent: resource measure
-
-
 class Dataset(namedtuple("Dataset", "ws rs")):
     """Ordered observations, indexed 1..n for reporting.
 
-    Held as two float columns of equal length, `ws` (predictor) and `rs`
-    (response), in observation order; `fit` and the diagnostics read them
-    directly. `Dataset(observations)` and `from_pairs` convert every value
-    to float and reject non-finite ones. `_trusted` stores columns that the
-    caller already holds as finite floats (the CSV parser) without
-    re-checking them. Equality and hashing compare the columns, so they
-    agree with comparing the observations.
+    Two columns of equal length, `ws` (predictor) and `rs` (response), in
+    observation order: observation a is (ws[a-1], rs[a-1]). The one
+    constructor, `Dataset(ws, rs)`, converts every value to float and
+    rejects columns of unequal length or holding a non-finite value. copy,
+    pickle and `_replace` rebuild a dataset through it too.
     """
 
     __slots__ = ()
 
-    def __new__(cls, observations: Iterable[tuple[float, float]]) -> "Dataset":
-        obs = tuple(Observation(float(w), float(r)) for w, r in observations)
-        for o in obs:
-            if not (isfinite(o.w) and isfinite(o.r)):
-                raise ValueError(f"non-finite observation: {o}")
-        return tuple.__new__(cls, (tuple(o.w for o in obs), tuple(o.r for o in obs)))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "Dataset":
-        return cls(pairs)
-
-    @classmethod
-    def _trusted(cls, ws: tuple[float, ...], rs: tuple[float, ...]) -> "Dataset":
-        """Wrap equal-length columns of finite floats without checking them."""
+    def __new__(cls, ws: Iterable[float], rs: Iterable[float]) -> "Dataset":
+        ws, rs = tuple(map(float, ws)), tuple(map(float, rs))
+        if len(ws) != len(rs):
+            raise ValueError(f"{len(ws)} predictor values but {len(rs)} responses")
+        if not (all(map(isfinite, ws)) and all(map(isfinite, rs))):
+            raise ValueError("observations must be finite")
         return tuple.__new__(cls, (ws, rs))
 
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle rebuild the value as cls(*__getnewargs__()).
-        return (self.observations,)
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(map(Observation, self.ws, self.rs))
+    @classmethod
+    def _make(cls, columns: Iterable[tuple[float, ...]]) -> "Dataset":
+        return cls(*columns)
 
     @property
     def n(self) -> int:
@@ -111,7 +92,9 @@ _SINGULAR_TOL = 1e-12
 #   exceeds 2**(2E-82), a normal float for E >= -470. An sxx that passes
 #   is normal too, and squares below 2**-1022 cost it at most n * 2**-1075,
 #   half its ulp.
-# sxy also grows with r; its overflow is the response's, on either path.
+# sxy also grows with r. When it is not finite, `fit` sums r * 2**-F
+# instead, with F the binary exponent of max|r|: then |r - r_bar| < 2 and
+# sxy stays below 2**(E+65) as sxx does.
 _W_SMALL, _W_LARGE = 2.0**-471, 2.0**479
 
 
@@ -123,6 +106,18 @@ def _sum_of_squares(values: list[float]) -> float:
     return fsum(map(mul, values, values))
 
 
+def _response_sums(dws: list[float], rs: tuple) -> tuple[float, float]:
+    """r_bar and sxy = sum((w - w_bar) * (r - r_bar)), given the w - w_bar.
+
+    Raises OverflowError or ValueError when sxy is not finite.
+    """
+    r_bar = fsum(rs) / len(rs)
+    sxy = fsum(map(mul, dws, [r - r_bar for r in rs]))
+    if not isfinite(sxy):
+        raise OverflowError
+    return r_bar, sxy
+
+
 def fit(data: Dataset) -> RegressionModel:
     """Estimate intercept and slope by minimizing the sum of squared residuals.
 
@@ -130,7 +125,8 @@ def fit(data: Dataset) -> RegressionModel:
     slope = sum((w - w_bar) * (r - r_bar)) / sum((w - w_bar) * (w - w_bar)),
     which lose no precision to an offset in w or r (Chan, Golub and LeVeque
     1983). A predictor too large or too small for these sums is first
-    scaled by a power of two, and the slope scaled back. Raises
+    scaled by a power of two, and the slope scaled back; a response too
+    large for them is scaled the same way, and the line scaled back. Raises
     InsufficientData for n < 2, SingularDesign when the predictor values
     coincide to within 1e-12 of their largest magnitude, and
     NumericOverflow when an intermediate is not finite. n = 2 interpolates
@@ -148,18 +144,20 @@ def fit(data: Dataset) -> RegressionModel:
         sws, w_max = [ldexp(w, -shift) for w in ws], ldexp(w_max, -shift)
     try:
         w_bar = fsum(sws) / n
-        r_bar = fsum(rs) / n
         dws = [w - w_bar for w in sws]
         sxx = _sum_of_squares(dws)
-        sxy = fsum(map(mul, dws, [r - r_bar for r in rs]))
-        if not (isfinite(sxx) and isfinite(sxy)):
-            raise OverflowError
+        try:
+            r_bar, sxy = _response_sums(dws, rs)
+            r_shift = 0
+        except (OverflowError, ValueError):
+            r_shift = frexp(max(map(abs, rs)))[1]
+            r_bar, sxy = _response_sums(dws, [ldexp(r, -r_shift) for r in rs])
         bound = _SINGULAR_TOL * w_max
         if sxx <= n * bound * bound:
             raise SingularDesign("all predictor values are (nearly) equal")
         mu1 = sxy / sxx
-        mu0 = r_bar - mu1 * w_bar
-        mu1 = ldexp(mu1, -shift)
+        mu0 = ldexp(r_bar - mu1 * w_bar, r_shift)
+        mu1 = ldexp(mu1, r_shift - shift)
         ssr_value = _sum_of_squares(_residuals(mu0, mu1, ws, rs))
         if not (isfinite(mu1) and isfinite(mu0) and isfinite(ssr_value)):
             raise OverflowError

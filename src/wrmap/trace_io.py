@@ -13,10 +13,10 @@ or CR). The parser validates before it builds: one pass of the row
 pattern over every data line, in C, then a Python loop that only splits
 each line at its last two commas and appends both number strings to the
 list of its `resource,workload` key, in first-appearance order. Each pair
-converts its list with one `float` map, checks it finite, and slices it
-into the `w` and `r` columns, which become `Dataset`s through the trusted
-constructor. When either check fails, `_raise_first_error` rescans the
-lines in order and reports the first bad one, whatever its fault.
+slices its list into the `w` and `r` columns and passes them to
+`Dataset`, whose constructor converts them to floats and rejects a
+non-finite one. When either check fails, `_raise_first_error` rescans
+the lines in order and reports the first bad one, whatever its fault.
 """
 
 from __future__ import annotations
@@ -140,12 +140,12 @@ def parse_observations(text: Union[str, bytes]) -> dict[tuple[str, str], Dataset
             numbers[key] = column = []
         column += w, r
     datasets = {}
-    for key, column in numbers.items():
-        values = tuple(map(float, column))
-        if not all(map(isfinite, values)):
-            _raise_first_error(rows)
-        resource, workload = key.split(",")
-        datasets[resource, workload] = Dataset._trusted(values[0::2], values[1::2])
+    try:
+        for key, column in numbers.items():
+            resource, workload = key.split(",")
+            datasets[resource, workload] = Dataset(column[0::2], column[1::2])
+    except ValueError:
+        _raise_first_error(rows)
     return datasets
 
 

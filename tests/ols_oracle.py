@@ -7,7 +7,7 @@ import numpy as np
 
 from wrmap.regression import Dataset
 
-THREE_POINTS = Dataset.from_pairs([(1, 2), (2, 3), (3, 5)])
+THREE_POINTS = Dataset([1, 2, 3], [2, 3, 5])
 
 
 def exact_fit(data):
@@ -56,4 +56,4 @@ def random_dataset(rng, min_spread=1e-6):
         if np.ptp(ws) > min_spread:
             break
     rs = rng.uniform(-10, 10, n)
-    return Dataset.from_pairs(zip(ws, rs))
+    return Dataset(ws, rs)

@@ -44,7 +44,7 @@ def test_criterion_1_state_machine_invariants():
             else:
                 outcome = core.map_query(state, rng.choice(workloads))
             after = outcome.state
-            if after.available_resources != frozenset(after.allocation.keys()):
+            if core.available(after) != frozenset(after.allocation.keys()):
                 violations += 1
             if outcome.report is not Report.OK and after != state:
                 violations += 1

@@ -76,6 +76,9 @@ TABLE7 = (DATA / "reference7.table").read_text(encoding="utf-8")
 EXAMPLE_REPLAY = ["replay", "--script", str(DATA / "example_build.replay")]
 TRANSCRIPT = (DATA / "example_build.out").read_text(encoding="utf-8")
 REPLAY_INPUT = ["replay", "--script", "input"]
+# (1,1), (2,2), (3,3) with w scaled by 2^100 and r by 2^1000: the slope is
+# 2^900, the SSR 0, but sum((w - w_bar) * (r - r_bar)) is not finite.
+HUGE_RESPONSE = "\nR1,W1,".join(f"{k * 2.0**100!r},{k * 2.0**1000!r}" for k in (1, 2, 3))
 # Names are tokens, which may contain ':'; fit --all lists a pair R:1,W1.
 COLON_ROWS = "R:1,W1,1,2\nR:1,W1,2,3\nR:1,W1,3,5\n"
 # Script lines, numbered from 1, and the transcript they give.
@@ -127,12 +130,14 @@ CASES = {
            f"{FIT}R1,W1,0.3333333333333335,{1.5 / 2.0**k!r},0.16666666666666652,0.9642857142857143,3\n",
            input=csv("".join(f"R1,W1,{w * 2.0**k!r},{r}\n" for w, r in [(1, 2), (2, 3), (3, 5)])))
        for k in (600, -600)},
+    # HUGE_RESPONSE fits (fit sums r scaled), but its R-squared overflows.
     **{f"TestFit::test_numeric_overflow[{rows}-{reason}]":
        Row(cmd("fit", "--all", input="input"), 1, err=f"error: {reason}\n",
            input=csv(f"R1,W1,{rows}\n"))
        for rows, reason in [
            ("1,1e200\nR1,W1,2,2e200\nR1,W1,3,5e200", "numeric overflow fitting R1:W1"),
-           ("0,0\nR1,W1,1,1.2e154\nR1,W1,2,2.4e154", "numeric overflow in R-squared for R1:W1")]},
+           ("0,0\nR1,W1,1,1.2e154\nR1,W1,2,2.4e154", "numeric overflow in R-squared for R1:W1"),
+           (HUGE_RESPONSE, "numeric overflow in R-squared for R1:W1")]},
     "TestFit::test_missing_file":
         Row(cmd("fit", "--all", input="no-such.csv"), 2,
             err=f"error: cannot read no-such.csv: {ENOENT}: 'no-such.csv'\n"),
@@ -141,12 +146,13 @@ CASES = {
     "TestFit::test_parse_error_exit_2":
         Row(cmd("fit", "--all", input="input"), 2, err="error: line 2: invalid number\n",
             input=csv("R1,W1,abc,2\n")),
-    # Outside the number grammar, though float() reads most of them. The CR
-    # ends a CRLF line, which the CLI passes to the parser untranslated.
+    # Outside the number grammar, though float() reads most of them, or in
+    # it but not finite as a double (1e999). The CR ends a CRLF line, which
+    # the CLI passes to the parser untranslated.
     **{f"TestFit::test_number_outside_grammar[{number}]":
        Row(cmd("fit", "--all", input="input"), 2, err="error: line 3: invalid number\n",
            input=csv(f"R1,W1,0,0\nR1,W1,1,{number}\nR1,W1,2,2\n"))
-       for number in ["1_0", " 2 ", "nan", "inf", "Infinity", "0x10", "١", "3\r"]},
+       for number in ["1_0", " 2 ", "nan", "inf", "Infinity", "0x10", "١", "3\r", "1e999"]},
     "TestFit::test_invalid_utf8":
         Row(cmd("fit", "--all", input="input"), 2,
             err="error: line 3: invalid UTF-8: 'utf-8' codec can't decode byte 0xff in"
@@ -158,6 +164,12 @@ CASES = {
     "TestResiduals::test_three_points": Row(cmd("residuals", "--pair", "R1:W2"), 0, RESIDUALS),
     "TestResiduals::test_unknown_pair":
         Row(cmd("residuals", "--pair", "R9:W9"), 1, err="error: unknown pair R9:W9\n"),
+    "TestResiduals::test_huge_response":
+        Row(cmd("residuals", "--pair", "R1:W1", input="input"), 0,
+            "a,w,r,fitted,residual\n1,1.26765e+30,1.07151e+301,1.07151e+301,0\n"
+            "2,2.5353e+30,2.14302e+301,2.14302e+301,0\n"
+            "3,3.80295e+30,3.21453e+301,3.21453e+301,0\n",
+            input=csv(f"R1,W1,{HUGE_RESPONSE}\n")),
     "TestResiduals::test_negative_zero_prints_as_0":
         Row(cmd("residuals", "--pair", "R1:W1", input="input"), 0,
             "a,w,r,fitted,residual\n1,0,0,0,0\n2,1,0,0,0\n3,2,0,0,0\n",

@@ -30,7 +30,7 @@ def build_example_state():
 
 def test_init_is_empty():
     state = core.init()
-    assert state.available_resources == frozenset()
+    assert core.available(state) == frozenset()
     assert state.allocation == {}
 
 
@@ -51,7 +51,7 @@ def test_add_first_binding():
     outcome = core.add(core.init(), "Res1", "Cloudworkload3")
     assert outcome.report is Report.OK
     assert outcome.state.allocation == {"Res1": "Cloudworkload3"}
-    assert outcome.state.available_resources == {"Res1"}
+    assert core.available(outcome.state) == {"Res1"}
 
 
 def test_add_duplicate_keeps_first_binding():
@@ -169,7 +169,7 @@ def test_invariant_and_error_preservation(sequence):
         outcome = run_step(state, step)
         after = outcome.state
         assert state.pairs == before
-        assert after.available_resources == frozenset(after.allocation.keys())
+        assert core.available(after) == frozenset(after.allocation.keys())
         if outcome.report is not Report.OK:
             assert after == state
         assert (outcome.report, outcome.payload) == model_step(model, step)
@@ -347,7 +347,7 @@ def test_states_grown_by_add_equal_states_built_whole():
             assert hash(state) == hash(built)
             assert state.pairs == built.pairs == tuple(sorted(pairs[:k]))
             assert state.allocation == dict(pairs[:k])
-            assert state.available_resources == {r for r, _ in pairs[:k]}
+            assert core.available(state) == {r for r, _ in pairs[:k]}
             assert len(state) == k
             assert trace_io.write_state(state) == snapshot
             assert core.find(state, resource).payload == workload

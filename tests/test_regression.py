@@ -7,13 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wrmap import regression
-from wrmap.regression import Dataset, Observation
+from wrmap.regression import Dataset
 
 from ols_oracle import THREE_POINTS, exact_fit, random_dataset
 
 
 def test_fit_exact_line():
-    model = regression.fit(Dataset.from_pairs([(1, 1), (2, 2), (3, 3)]))
+    model = regression.fit(Dataset([1, 2, 3], [1, 2, 3]))
     assert model.mu0_hat == pytest.approx(0.0, abs=1e-12)
     assert model.mu1_hat == pytest.approx(1.0, rel=1e-12)
     assert model.ssr == pytest.approx(0.0, abs=1e-12)
@@ -21,11 +21,11 @@ def test_fit_exact_line():
 
 def test_fit_singular_design():
     with pytest.raises(regression.SingularDesign):
-        regression.fit(Dataset.from_pairs([(1, 4), (1, 6)]))
+        regression.fit(Dataset([1, 1], [4, 6]))
 
 
 def test_fit_offset_predictor_is_not_singular():
-    shifted = Dataset.from_pairs((o.w + 1e6, o.r) for o in THREE_POINTS.observations)
+    shifted = Dataset((w + 1e6 for w in THREE_POINTS.ws), THREE_POINTS.rs)
     model = regression.fit(shifted)
     assert model.mu1_hat == pytest.approx(1.5, rel=1e-12)
     assert model.mu0_hat == pytest.approx(1 / 3 - 1.5e6, rel=1e-12)
@@ -35,11 +35,11 @@ def test_fit_offset_predictor_is_not_singular():
 @pytest.mark.parametrize("scale", [2.0**-600, 2.0**-200, 2.0**-40, 2.0**40, 2.0**200,
                                    2.0**600])
 def test_fit_singularity_test_is_scale_aware(scale):
-    spread = Dataset.from_pairs((o.w * scale, o.r) for o in THREE_POINTS.observations)
+    spread = Dataset((w * scale for w in THREE_POINTS.ws), THREE_POINTS.rs)
     # The unscaled fit, its slope divided by the scale: even at 2^±600,
     # which fit sums as w * 2**-E.
     assert regression.fit(spread) == regression.fit(THREE_POINTS)._replace(mu1_hat=1.5 / scale)
-    flat = Dataset.from_pairs([(3 * scale, 4), (3 * scale, 6), (3 * scale, 5)])
+    flat = Dataset([3 * scale] * 3, [4, 6, 5])
     with pytest.raises(regression.SingularDesign):
         regression.fit(flat)
 
@@ -51,7 +51,7 @@ def test_fit_singularity_test_is_scale_aware(scale):
 ])
 def test_fit_overflow_is_a_regression_error(pairs):
     with pytest.raises(regression.NumericOverflow) as info:
-        regression.fit(Dataset.from_pairs(pairs))
+        regression.fit(Dataset(*zip(*pairs)))
     assert isinstance(info.value, regression.RegressionError)
 
 
@@ -80,16 +80,25 @@ def assert_near_exact(data, model):
     for w in (lo, hi):
         line = Fraction(model.mu0_hat) + Fraction(model.mu1_hat) * Fraction(w)
         assert abs(line - (intercept + slope * w)) <= tol * big_r
-    assert abs(math.sqrt(model.ssr) - math.sqrt(ssr)) <= 2 * math.sqrt(n) * tol * big_r
+    # |sqrt(model.ssr) - sqrt(ssr)| <= bound, squared: ssr may exceed any float.
+    root, bound = Fraction(math.sqrt(model.ssr)), 2 * Fraction(math.sqrt(n)) * tol * big_r
+    assert max(root - bound, 0) ** 2 <= ssr <= (root + bound) ** 2
 
 
 @pytest.mark.parametrize("pairs", [
     [(1e200, 1), (2e200, 2), (3e200, 3)],  # unscaled, (w - w_bar) ** 2 overflows
     [(-1.5e308, 0), (1.5e308, 1)],  # unscaled, w - w_bar overflows
     [(0, 0), (5e-324, 1e-300)],  # unscaled, (w - w_bar) ** 2 underflows to 0
+    # w inside its window, r too large for sxy: the slope is 2**900, SSR 0.
+    [(math.ldexp(k, 100), math.ldexp(k, 1000)) for k in (1, 2, 3)],
+    # The same near the top of w's window, r with an intercept and noise:
+    # the slope is about 2**90, the SSR about 2**1018.
+    [(math.ldexp(1, 470), math.ldexp(4, 560) + math.ldexp(1, 500)),
+     (math.ldexp(2, 470), math.ldexp(5, 560) - math.ldexp(1, 501)),
+     (math.ldexp(4, 470), math.ldexp(7, 560) + math.ldexp(1, 500))],
 ])
 def test_fit_at_any_predictor_magnitude(pairs):
-    data = Dataset.from_pairs(pairs)
+    data = Dataset(*zip(*pairs))
     model = regression.fit(data)
     assert model.ssr == regression.ssr(model, data)
     assert_near_exact(data, model)
@@ -99,7 +108,7 @@ def test_fit_at_any_predictor_magnitude(pairs):
 @given(st.integers(0, 2**32 - 1), st.floats(-1e9, 1e9), st.integers(-600, 600))
 def test_fit_matches_the_exact_fit_on_offset_data(seed, offset, k):
     base = random_dataset(np.random.default_rng(seed))
-    data = Dataset.from_pairs((math.ldexp(w + offset, k), r) for w, r in zip(base.ws, base.rs))
+    data = Dataset((math.ldexp(w + offset, k) for w in base.ws), base.rs)
     try:
         model = regression.fit(data)
     except regression.SingularDesign:
@@ -111,8 +120,40 @@ def test_fit_matches_the_exact_fit_on_offset_data(seed, offset, k):
     assert_near_exact(data, model)
 
 
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-10, 10),
+       st.one_of(st.integers(459, 475), st.integers(0, 475)), st.integers(-8, 8),
+       st.integers(20, 60))
+def test_fit_matches_the_exact_fit_at_any_response_magnitude(seed, c, a, excess, m):
+    # A line c + w through random w, plus noise 2**-m of it, with w scaled
+    # by 2**a and r by 2**b. b = 1016 - a + excess puts the unscaled
+    # sum((w - w_bar) * (r - r_bar)) near 2**(1024 + excess), so on about
+    # half of the draws fit sums r scaled. Scaling r by 2**b is exact, so
+    # the fit scales with it bit for bit, or raises where the scaled line
+    # or SSR is not finite (for b above about 560, the noise's and r's own
+    # rounding make the SSR overflow). Where it fits, it is near exact.
+    b = 1016 - a + excess
+    assume(b <= 1018)
+    base = random_dataset(np.random.default_rng(seed))
+    ws = [math.ldexp(w, a) for w in base.ws]
+    rs = [c + w + math.ldexp(r, -m) for w, r in zip(base.ws, base.rs)]
+    unscaled = regression.fit(Dataset(ws, rs))
+    data = Dataset(ws, (math.ldexp(r, b) for r in rs))
+    try:
+        sigma2 = unscaled.sigma2_hat
+        expected = repr((
+            math.ldexp(unscaled.mu0_hat, b), math.ldexp(unscaled.mu1_hat, b),
+            math.ldexp(unscaled.ssr, 2 * b), unscaled.n,
+            None if sigma2 is None else math.ldexp(sigma2, 2 * b)))
+    except OverflowError:
+        expected = regression.NumericOverflow
+    assert _fit_outcome(regression.fit, data) == expected
+    if expected is not regression.NumericOverflow:
+        assert_near_exact(data, regression.fit(data))
+
+
 def test_goodness_of_fit_overflow_is_a_regression_error():
-    data = Dataset.from_pairs([(0, 0), (1, 1.2e154), (2, 2.4e154)])
+    data = Dataset([0, 1, 2], [0, 1.2e154, 2.4e154])
     model = regression.fit(data)
     assert model.mu1_hat == 1.2e154
     with pytest.raises(regression.NumericOverflow):
@@ -130,13 +171,14 @@ def test_goodness_of_fit_overflow_is_a_regression_error():
 def test_slope_is_translation_invariant(pairs, shift):
     # Integer data shifted by an integer stay exact, so the centered sums
     # differ only through the rounding of the two means.
-    base = regression.fit(Dataset.from_pairs(pairs))
-    moved = regression.fit(Dataset.from_pairs((w + shift, r) for w, r in pairs))
+    ws, rs = zip(*pairs)
+    base = regression.fit(Dataset(ws, rs))
+    moved = regression.fit(Dataset((w + shift for w in ws), rs))
     assert moved.mu1_hat == pytest.approx(base.mu1_hat, rel=1e-9, abs=1e-12)
 
 
 def test_fit_constant_response():
-    model = regression.fit(Dataset.from_pairs([(0, 5), (1, 5), (2, 5)]))
+    model = regression.fit(Dataset([0, 1, 2], [5, 5, 5]))
     assert model.mu1_hat == pytest.approx(0.0, abs=1e-12)
     assert model.mu0_hat == pytest.approx(5.0, rel=1e-12)
     assert model.ssr == pytest.approx(0.0, abs=1e-12)
@@ -144,11 +186,11 @@ def test_fit_constant_response():
 
 def test_fit_insufficient_data():
     with pytest.raises(regression.InsufficientData):
-        regression.fit(Dataset.from_pairs([(1, 1)]))
+        regression.fit(Dataset([1], [1]))
 
 
 def test_sigma2_presence():
-    assert regression.fit(Dataset.from_pairs([(0, 0), (1, 1)])).sigma2_hat is None
+    assert regression.fit(Dataset([0, 1], [0, 1])).sigma2_hat is None
     model = regression.fit(THREE_POINTS)
     assert model.sigma2_hat == pytest.approx(model.ssr / (model.n - 2), rel=1e-12)
 
@@ -168,12 +210,11 @@ def test_residuals_three_points():
     res = regression.residuals(model, THREE_POINTS)
     assert res == pytest.approx([1 / 6, -1 / 3, 1 / 6], rel=1e-9)
     assert math.fsum(res) == pytest.approx(0.0, abs=1e-12)
-    ws = [o.w for o in THREE_POINTS.observations]
-    assert math.fsum(w * e for w, e in zip(ws, res)) == pytest.approx(0.0, abs=1e-12)
+    assert math.fsum(w * e for w, e in zip(THREE_POINTS.ws, res)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_residuals_perfect_fit():
-    data = Dataset.from_pairs([(1, 1), (2, 2), (3, 3)])
+    data = Dataset([1, 2, 3], [1, 2, 3])
     assert regression.residuals(regression.fit(data), data) == pytest.approx(
         [0, 0, 0], abs=1e-12
     )
@@ -181,7 +222,7 @@ def test_residuals_perfect_fit():
 
 def test_residuals_single_point_definition():
     model = regression.RegressionModel(1.0, 2.0, 0.0, 2)
-    data = Dataset.from_pairs([(3, 10)])
+    data = Dataset([3], [10])
     assert regression.residuals(model, data) == [10 - (1 + 2 * 3)]
 
 
@@ -193,7 +234,7 @@ def test_ssr_three_points():
 def test_fit_ssr_is_the_ssr_of_its_model():
     # Squaring with `** 2` (the C library's pow) rounds 123008.00000000001
     # down to 123008.0 on these rows, while `ssr` squares with `*`.
-    data = Dataset.from_pairs([(32, 1096), (34, 1525), (32, 1592)])
+    data = Dataset([32, 34, 32], [1096, 1525, 1592])
     model = regression.fit(data)
     assert model.ssr == regression.ssr(model, data)
 
@@ -202,9 +243,8 @@ def test_fit_ssr_is_the_ssr_of_its_model_random():
     rng = random.Random(0)
     for _ in range(2000):
         n = rng.randint(3, 12)
-        data = Dataset.from_pairs(
-            (rng.randint(30, 40), rng.randint(1000, 2000)) for _ in range(n)
-        )
+        data = Dataset(*zip(*((rng.randint(30, 40), rng.randint(1000, 2000))
+                               for _ in range(n))))
         try:
             model = regression.fit(data)
         except regression.SingularDesign:
@@ -213,7 +253,7 @@ def test_fit_ssr_is_the_ssr_of_its_model_random():
 
 
 def test_goodness_of_fit():
-    perfect = Dataset.from_pairs([(1, 1), (2, 2), (3, 3)])
+    perfect = Dataset([1, 2, 3], [1, 2, 3])
     assert regression.goodness_of_fit(regression.fit(perfect), perfect) == pytest.approx(
         1.0, rel=1e-12
     )
@@ -221,26 +261,46 @@ def test_goodness_of_fit():
     assert regression.goodness_of_fit(model, THREE_POINTS) == pytest.approx(
         27 / 28, rel=1e-12
     )
-    flat = Dataset.from_pairs([(0, 5), (1, 5), (2, 5)])
+    flat = Dataset([0, 1, 2], [5, 5, 5])
     with pytest.raises(regression.ConstantResponse):
         regression.goodness_of_fit(regression.fit(flat), flat)
     # An empty response has no variation either.
     with pytest.raises(regression.ConstantResponse):
-        regression.goodness_of_fit(model, Dataset([]))
+        regression.goodness_of_fit(model, Dataset([], []))
 
 
 def test_dataset_columns_and_constructors():
-    data = Dataset([(1, 2), (2.5, 3)])
+    data = Dataset([1, 2.5], [2, 3])
     assert (data.ws, data.rs) == ((1.0, 2.5), (2.0, 3.0))
     assert all(type(v) is float for v in data.ws + data.rs)
-    assert data.observations == (Observation(1.0, 2.0), Observation(2.5, 3.0))
     assert data.n == 2
-    assert Dataset.from_pairs([(1, 2), (2.5, 3)]) == data
-    trusted = Dataset._trusted((1.0, 2.5), (2.0, 3.0))
-    assert trusted == data and hash(trusted) == hash(data)
-    assert Dataset.from_pairs([(2.5, 3), (1, 2)]) != data
+    # Any iterables, generators included; equal columns give equal datasets.
+    same = Dataset((w for w in (1, 2.5)), iter([2.0, 3.0]))
+    assert same == data and hash(same) == hash(data)
+    assert Dataset([2.5, 1], [3, 2]) != data
+    assert Dataset([], []).n == 0
     with pytest.raises(AttributeError):
         data.ws = ()
+
+
+@pytest.mark.parametrize("ws, rs", [([1, 2], [3]), ([1], [2, 3]), ([], [1])])
+def test_dataset_rejects_columns_of_unequal_length(ws, rs):
+    with pytest.raises(ValueError, match="predictor values but"):
+        Dataset(ws, rs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["ws", "rs"])
+def test_dataset_rejects_a_non_finite_value(bad, column):
+    columns = {"ws": [1.0, 2.0, 3.0], "rs": [4.0, 5.0, 6.0]}
+    columns[column][1] = bad
+    with pytest.raises(ValueError, match="^observations must be finite$"):
+        Dataset(**columns)
+    # _replace and _make, namedtuple's own ways to build one, check too.
+    with pytest.raises(ValueError, match="^observations must be finite$"):
+        Dataset([1, 2, 3], [4, 5, 6])._replace(**{column: columns[column]})
+    with pytest.raises(ValueError, match="^observations must be finite$"):
+        Dataset._make(columns.values())
 
 
 def test_diagnostics_sum_the_observations_in_order():
@@ -252,10 +312,10 @@ def test_diagnostics_sum_the_observations_in_order():
     for _ in range(3000):
         data = random_dataset(rng)
         model = regression.fit(data)
-        fitted = [model.mu0_hat + model.mu1_hat * o.w for o in data.observations]
-        res = [o.r - f for o, f in zip(data.observations, fitted)]
-        r_bar = math.fsum(o.r for o in data.observations) / data.n
-        sst = math.fsum((o.r - r_bar) * (o.r - r_bar) for o in data.observations)
+        fitted = [model.mu0_hat + model.mu1_hat * w for w in data.ws]
+        res = [r - f for r, f in zip(data.rs, fitted)]
+        r_bar = math.fsum(data.rs) / data.n
+        sst = math.fsum((r - r_bar) * (r - r_bar) for r in data.rs)
         ssr = math.fsum(e * e for e in res)
         assert regression.residuals(model, data) == res
         assert regression.ssr(model, data) == ssr
@@ -267,8 +327,8 @@ def test_mean_point_property():
     for _ in range(100):
         data = random_dataset(rng)
         model = regression.fit(data)
-        w_bar = math.fsum(o.w for o in data.observations) / data.n
-        r_bar = math.fsum(o.r for o in data.observations) / data.n
+        w_bar = math.fsum(data.ws) / data.n
+        r_bar = math.fsum(data.rs) / data.n
         assert regression.predict(model, w_bar) == pytest.approx(
             r_bar, rel=1e-9, abs=1e-9
         )
@@ -286,10 +346,11 @@ def test_affine_equivariance():
         a = int(rng.choice([-600, 600, int(rng.integers(-200, 201))]))
         b = int(rng.integers(-200, 201))
         offset = float(rng.choice([0.0, 1e3, 1e6]))
-        pairs = [(o.w + offset, o.r + offset) for o in data.observations]
-        base = regression.fit(Dataset.from_pairs(pairs))
+        ws = [w + offset for w in data.ws]
+        rs = [r + offset for r in data.rs]
+        base = regression.fit(Dataset(ws, rs))
         pow2 = regression.fit(
-            Dataset.from_pairs((math.ldexp(w, a), math.ldexp(r, b)) for w, r in pairs)
+            Dataset((math.ldexp(w, a) for w in ws), (math.ldexp(r, b) for r in rs))
         )
         sigma2 = None if base.sigma2_hat is None else math.ldexp(base.sigma2_hat, 2 * b)
         expected = regression.RegressionModel(
@@ -301,7 +362,7 @@ def test_affine_equivariance():
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
-        Dataset.from_pairs([(float("nan"), 1.0)])
+        Dataset([float("nan")], [1.0])
     with pytest.raises(ValueError):
         regression.predict(regression.RegressionModel(0, 1, 0, 2), float("inf"))
 
@@ -353,10 +414,10 @@ def test_fit_matches_reference_bit_for_bit_random():
         n = rng.randint(2, 20)
         offset = rng.choice([0.0, rng.uniform(-1e9, 1e9)])
         scale = 2.0 ** rng.choice([0, rng.randint(-200, 200), -200, 200])
-        data = Dataset.from_pairs(
+        data = Dataset(*zip(*(
             (scale * (offset + rng.uniform(-10, 10)), scale * rng.uniform(-1e3, 1e3))
             for _ in range(n)
-        )
+        )))
         assert _fit_outcome(regression.fit, data) == _fit_outcome(reference_fit, data)
 
 
@@ -370,7 +431,8 @@ finite = st.floats(-1e6, 1e6)
     st.sampled_from([1.0, 2.0**-200, 2.0**200]),
 )
 def test_fit_matches_reference_bit_for_bit_property(pairs, offset, scale):
-    data = Dataset.from_pairs(((w + offset) * scale, r * scale) for w, r in pairs)
+    ws, rs = zip(*pairs)
+    data = Dataset(((w + offset) * scale for w in ws), (r * scale for r in rs))
     # reference_fit sums the predictor as given, as fit does in this range
     # (and at 0, which it scales by 2**0).
     w_max = max(map(abs, data.ws))
@@ -391,6 +453,6 @@ def test_fit_matches_reference_bit_for_bit_property(pairs, offset, scale):
     ],
 )
 def test_fit_raises_the_reference_error(pairs, error):
-    data = Dataset.from_pairs(pairs)
+    data = Dataset([w for w, _ in pairs], [r for _, r in pairs])
     assert _fit_outcome(reference_fit, data) is error
     assert _fit_outcome(regression.fit, data) is error

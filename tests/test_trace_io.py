@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from wrmap import core, trace_io
 from wrmap.core import AllocationState, check_token
-from wrmap.regression import Dataset, Observation
+from wrmap.regression import Dataset
 
 
 class TestParseObservations:
@@ -24,11 +24,7 @@ class TestParseObservations:
         )
         datasets = trace_io.parse_observations(text)
         assert list(datasets) == [("R1", "W1")]
-        assert datasets[("R1", "W1")].observations == (
-            Observation(1, 2),
-            Observation(2, 3),
-            Observation(3, 5),
-        )
+        assert datasets[("R1", "W1")] == Dataset([1, 2, 3], [2, 3, 5])
 
     def test_multiple_pairs_interleaved(self):
         text = (
@@ -38,8 +34,8 @@ class TestParseObservations:
             "R1,W1,2,2\n"
         )
         datasets = trace_io.parse_observations(text)
-        assert [o.w for o in datasets[("R1", "W1")].observations] == [1, 2]
-        assert [o.w for o in datasets[("R2", "W1")].observations] == [5]
+        assert datasets[("R1", "W1")].ws == (1, 2)
+        assert datasets[("R2", "W1")].ws == (5,)
 
     def test_bad_number(self):
         with pytest.raises(trace_io.ParseError) as err:
@@ -88,6 +84,21 @@ class TestParseObservations:
         with pytest.raises(trace_io.ParseError) as err:
             trace_io.parse_observations(text)
         assert (err.value.line, err.value.reason) == (3, "invalid number")
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ("R2,W1,1,2\nR1,W1,1e999,2\nR2,W1,1,2,3\n", (3, "invalid number")),
+            ("R1,W1,1,2\nR2,W1,1,2,3\nR1,W1,2,1e999\n", (3, "expected 4 columns, got 5")),
+            # R1:W1 is built first, but its fault is on the later line.
+            ("R1,W1,1,2\nR2,W1,-1e999,1\nR1,W1,1e999,2\n", (3, "invalid number")),
+        ],
+        ids=["non-finite-first", "malformed-first", "two-pairs-non-finite"],
+    )
+    def test_reports_the_first_faulty_line(self, rows, fault):
+        with pytest.raises(trace_io.ParseError) as err:
+            trace_io.parse_observations(f"resource,workload,w,r\n{rows}")
+        assert (err.value.line, err.value.reason) == fault
 
     @pytest.mark.parametrize(
         "number, value",
@@ -145,12 +156,12 @@ class TestParseObservations:
                 disagree.append(hex(code))
         assert disagree == []
 
-    def test_trusted_datasets_equal_validated(self):
+    def test_parsed_datasets_equal_constructed(self):
         text = "resource,workload,w,r\nR1,W1,1,2\nR2,W1,5,5\nR1,W1,2,3.5\n"
         datasets = trace_io.parse_observations(text)
         expected = {
-            ("R1", "W1"): Dataset.from_pairs([(1, 2), (2, 3.5)]),
-            ("R2", "W1"): Dataset.from_pairs([(5, 5)]),
+            ("R1", "W1"): Dataset([1, 2], [2, 3.5]),
+            ("R2", "W1"): Dataset([5], [5]),
         }
         assert datasets == expected
         assert {hash(d) for d in datasets.values()} == {
@@ -419,8 +430,8 @@ def reference_parse_observations(text):
             raise trace_io.ParseError(lineno, "invalid number") from exc
         if not (isfinite(w) and isfinite(r)):
             raise trace_io.ParseError(lineno, "invalid number")
-        groups.setdefault((resource, workload), []).append(Observation(w, r))
-    return {pair: Dataset(tuple(obs)) for pair, obs in groups.items()}
+        groups.setdefault((resource, workload), []).append((w, r))
+    return {pair: Dataset(*zip(*obs)) for pair, obs in groups.items()}
 
 
 def _outcome(parse, text):

@@ -16,9 +16,9 @@ COSTS = CostMatrix(("R1", "R2"), ("W1",), ((1.0,), (2.0,)))
 
 # One value of each type, with the attributes its users read.
 VALUES = [
-    (AllocationState([("R1", "W1")]), ["pairs", "allocation", "available_resources"]),
+    (AllocationState([("R1", "W1")]), ["pairs", "allocation"]),
     (OpOutcome(AllocationState(), Report.OK), ["state", "report", "payload"]),
-    (Dataset([(1, 2), (2, 3)]), ["ws", "rs"]),
+    (Dataset([1, 2], [2, 3]), ["ws", "rs"]),
     (
         RegressionModel(0.0, 1.0, 0.0, 2),
         ["mu0_hat", "mu1_hat", "ssr", "n", "sigma2_hat"],
