@@ -7,14 +7,14 @@ over the coefficient plane.
 
 import numpy as np
 
-from wrmap.regression import Dataset, fit, goodness_of_fit, predict, residuals
+from wrmap.regression import Dataset, fit, goodness_of_fit, predict, residuals, ssr
 
 data = Dataset([1, 2, 3], [2, 3, 5])
 model = fit(data)
 
 print("intercept :", model.mu0_hat)
 print("slope     :", model.mu1_hat)
-print("ssr       :", model.ssr)
+print("ssr       :", ssr(model, data))
 print("R^2       :", goodness_of_fit(model, data))
 print("residuals :", residuals(model, data))
 print("prediction at w=2 (the mean point):", predict(model, 2.0))

@@ -9,8 +9,10 @@ the locale, platform or buffering.
 
 Every subcommand runs on the standard library alone. `replay` needs only
 `trace_io` and `core`; the commands that fit or match import `regression`
-and `matcher` when they run, and turn their errors into `_DomainError`
-with the same message.
+and `matcher` when they run, and turn their errors into `_DomainError`.
+A regression error names its pair, as in `numeric overflow fitting R1:W1`
+for a line, or in `fit` an SSR, that is not finite; a matcher error keeps
+its message.
 """
 
 from __future__ import annotations
@@ -124,17 +126,15 @@ def cmd_fit(args) -> int:
     models = _fit_all(datasets, pairs)
     lines = ["resource,workload,mu0_hat,mu1_hat,ssr,r2,n"]
     for pair in pairs:
-        model = models[pair]
+        model, data = models[pair], datasets[pair]
         try:
-            r2 = regression.goodness_of_fit(model, datasets[pair])
+            ssr = regression.ssr(model, data)
+            r2 = regression.goodness_of_fit(model, data)
         except regression.ConstantResponse:
             r2 = ""
         except regression.NumericOverflow as exc:
-            raise _DomainError(
-                f"numeric overflow in R-squared for {pair[0]}:{pair[1]}"
-            ) from exc
-        fields = (model.mu0_hat, model.mu1_hat, model.ssr, r2, model.n)
-        lines.append(_csv_row(args.precision, *pair, *fields))
+            raise _DomainError(f"numeric overflow fitting {pair[0]}:{pair[1]}") from exc
+        lines.append(_csv_row(args.precision, *pair, *model, ssr, r2, data.n))
     _emit(_transcript(lines))
     return 0
 

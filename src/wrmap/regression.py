@@ -4,16 +4,17 @@ Closed-form estimation of intercept and slope for one predictor, plus
 residuals, the sum of squared residuals, and R-squared. Results are the
 same bits on every IEEE 754 platform: each square is `x * x`, correctly
 rounded (a power goes through the C library's `pow`, which need not be),
-each sum is the correctly rounded `math.fsum`, and `fit` reports the SSR
-that `ssr` computes, from the one definition of the residuals.
+and each sum is the correctly rounded `math.fsum`. A column too large or
+too small for these sums is first scaled by a power of two, which is
+exact, by the one rule of `_scaled`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import frexp, fsum, isfinite, ldexp
+from math import frexp, fsum, inf, isfinite, ldexp
 from operator import mul
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Sequence
 
 
 class RegressionError(Exception):
@@ -52,6 +53,9 @@ class Dataset(namedtuple("Dataset", "ws rs")):
             raise ValueError("observations must be finite")
         return tuple.__new__(cls, (ws, rs))
 
+    def __reduce__(self):
+        return type(self), tuple(self)
+
     @classmethod
     def _make(cls, columns: Iterable[tuple[float, ...]]) -> "Dataset":
         return cls(*columns)
@@ -62,60 +66,48 @@ class Dataset(namedtuple("Dataset", "ws rs")):
 
 
 class RegressionModel(NamedTuple):
-    """Estimated line r = mu0_hat + mu1_hat * w with fit diagnostics.
-
-    sigma2_hat is the residual variance estimate ssr/(n-2), present only
-    when n > 2.
-    """
+    """Estimated line r = mu0_hat + mu1_hat * w."""
 
     mu0_hat: float
     mu1_hat: float
-    ssr: float
-    n: int
-    sigma2_hat: Optional[float] = None
 
 
 class NumericOverflow(RegressionError):
-    """A sum, product or estimate is not finite in floating point."""
+    """A result is not finite in floating point."""
 
 
 # Relative threshold on the spread of the predictor, against its largest
 # magnitude, at or below which the slope denominator is treated as zero.
 _SINGULAR_TOL = 1e-12
 
-# `fit` sums the predictor as given while the binary exponent E of its
-# largest magnitude (2**(E-1) <= max|w| < 2**E) is in -470..479, that is,
-# while _W_SMALL <= max|w| < _W_LARGE; otherwise it sums w * 2**-E.
-# - Overflow: each |w - w_bar| < 2**(E+1) and n < 2**63, so fsum(ws) and
-#   sxx stay below 2**(E+63) and 2**(2E+65), finite for E <= 479.
+# `_scaled` leaves a column as given while the binary exponent E of its
+# largest magnitude (2**(E-1) <= max|x| < 2**E) is in -470..479, that is,
+# while _SMALL <= max|x| < _LARGE; otherwise it scales it by 2**-E.
+# - Overflow: each |x - x_bar| < 2**(E+1) and n < 2**63, so fsum(xs) stays
+#   below 2**(E+63), and a sum of products of two centered columns with
+#   exponents E and F below 2**(E+F+65), finite for E, F <= 479.
 # - Underflow: 1e-12 > 2**-40, so the singular threshold n * bound**2
 #   exceeds 2**(2E-82), a normal float for E >= -470. An sxx that passes
 #   is normal too, and squares below 2**-1022 cost it at most n * 2**-1075,
-#   half its ulp.
-# sxy also grows with r. When it is not finite, `fit` sums r * 2**-F
-# instead, with F the binary exponent of max|r|: then |r - r_bar| < 2 and
-# sxy stays below 2**(E+65) as sxx does.
-_W_SMALL, _W_LARGE = 2.0**-471, 2.0**479
+#   half its ulp. Products of w and r below 2**-1022 move the slope by at
+#   most n * 2**-1075 / sxx, less than n * 2**-37 times its rounding error
+#   bound u * max|r| / spread (u = 2**-53) for exponents of -470 or more.
+_SMALL, _LARGE = 2.0**-471, 2.0**479
 
 
-def _residuals(mu0: float, mu1: float, ws: tuple, rs: tuple) -> list[float]:
-    return [r - (mu0 + mu1 * w) for w, r in zip(ws, rs)]
+def _scaled(xs: Sequence[float]) -> tuple[Sequence[float], float, int]:
+    """xs * 2**-E, max|x| * 2**-E, and E: 0 while max|x| is inside the
+    window above, and otherwise its binary exponent. Exact, but for values
+    more than 2**1022 times below that max."""
+    top = max(map(abs, xs), default=0.0)
+    if _SMALL <= top < _LARGE:
+        return xs, top, 0
+    shift = frexp(top)[1]
+    return [ldexp(x, -shift) for x in xs], ldexp(top, -shift), shift
 
 
 def _sum_of_squares(values: list[float]) -> float:
     return fsum(map(mul, values, values))
-
-
-def _response_sums(dws: list[float], rs: tuple) -> tuple[float, float]:
-    """r_bar and sxy = sum((w - w_bar) * (r - r_bar)), given the w - w_bar.
-
-    Raises OverflowError or ValueError when sxy is not finite.
-    """
-    r_bar = fsum(rs) / len(rs)
-    sxy = fsum(map(mul, dws, [r - r_bar for r in rs]))
-    if not isfinite(sxy):
-        raise OverflowError
-    return r_bar, sxy
 
 
 def fit(data: Dataset) -> RegressionModel:
@@ -124,47 +116,33 @@ def fit(data: Dataset) -> RegressionModel:
     Two passes: the means, then the centered sums in
     slope = sum((w - w_bar) * (r - r_bar)) / sum((w - w_bar) * (w - w_bar)),
     which lose no precision to an offset in w or r (Chan, Golub and LeVeque
-    1983). A predictor too large or too small for these sums is first
-    scaled by a power of two, and the slope scaled back; a response too
-    large for them is scaled the same way, and the line scaled back. Raises
-    InsufficientData for n < 2, SingularDesign when the predictor values
-    coincide to within 1e-12 of their largest magnitude, and
-    NumericOverflow when an intermediate is not finite. n = 2 interpolates
-    (ssr is 0 up to rounding, and there is no variance estimate).
+    1983). Each column is summed as `_scaled` gives it, and the line scaled
+    back. Raises InsufficientData for n < 2, SingularDesign when the
+    predictor values coincide to within 1e-12 of their largest magnitude,
+    and NumericOverflow when the intercept or the slope is not finite.
     """
     ws, rs = data
     n = len(ws)
     if n < 2:
         raise InsufficientData(f"need at least 2 observations, got {n}")
-    sws, w_max = ws, max(map(abs, ws))
-    shift = 0
-    if not _W_SMALL <= w_max < _W_LARGE:
-        # Exact, but for values more than 2**1022 times below w_max.
-        shift = frexp(w_max)[1]
-        sws, w_max = [ldexp(w, -shift) for w in ws], ldexp(w_max, -shift)
+    ws, w_max, w_shift = _scaled(ws)
+    rs, _, r_shift = _scaled(rs)
+    w_bar = fsum(ws) / n
+    dws = [w - w_bar for w in ws]
+    sxx = _sum_of_squares(dws)
+    bound = _SINGULAR_TOL * w_max
+    if sxx <= n * bound * bound:
+        raise SingularDesign("all predictor values are (nearly) equal")
+    r_bar = fsum(rs) / n
+    mu1 = fsum(map(mul, dws, [r - r_bar for r in rs])) / sxx
     try:
-        w_bar = fsum(sws) / n
-        dws = [w - w_bar for w in sws]
-        sxx = _sum_of_squares(dws)
-        try:
-            r_bar, sxy = _response_sums(dws, rs)
-            r_shift = 0
-        except (OverflowError, ValueError):
-            r_shift = frexp(max(map(abs, rs)))[1]
-            r_bar, sxy = _response_sums(dws, [ldexp(r, -r_shift) for r in rs])
-        bound = _SINGULAR_TOL * w_max
-        if sxx <= n * bound * bound:
-            raise SingularDesign("all predictor values are (nearly) equal")
-        mu1 = sxy / sxx
         mu0 = ldexp(r_bar - mu1 * w_bar, r_shift)
-        mu1 = ldexp(mu1, r_shift - shift)
-        ssr_value = _sum_of_squares(_residuals(mu0, mu1, ws, rs))
-        if not (isfinite(mu1) and isfinite(mu0) and isfinite(ssr_value)):
-            raise OverflowError
-    except (OverflowError, ValueError) as exc:
-        raise NumericOverflow("an intermediate of the fit is not finite") from exc
-    sigma2 = ssr_value / (n - 2) if n > 2 else None
-    return tuple.__new__(RegressionModel, (mu0, mu1, ssr_value, n, sigma2))
+        mu1 = ldexp(mu1, r_shift - w_shift)
+    except OverflowError as exc:
+        raise NumericOverflow("the fitted line is not finite") from exc
+    if not (isfinite(mu0) and isfinite(mu1)):
+        raise NumericOverflow("the fitted line is not finite")
+    return tuple.__new__(RegressionModel, (mu0, mu1))
 
 
 def predict(model: RegressionModel, w: float) -> float:
@@ -176,29 +154,43 @@ def predict(model: RegressionModel, w: float) -> float:
 
 def residuals(model: RegressionModel, data: Dataset) -> list[float]:
     """Observed minus fitted, in dataset order."""
-    return _residuals(model.mu0_hat, model.mu1_hat, data.ws, data.rs)
+    mu0, mu1 = model.mu0_hat, model.mu1_hat
+    return [r - (mu0 + mu1 * w) for w, r in zip(data.ws, data.rs)]
+
+
+def _ssr(model: RegressionModel, data: Dataset, shift: int) -> float:
+    """The sum of the squares of the residuals, each times 2**-shift;
+    NumericOverflow when it is not finite."""
+    try:
+        value = _sum_of_squares([ldexp(e, -shift) for e in residuals(model, data)])
+    except OverflowError:  # from ldexp, or from a partial sum in fsum
+        value = inf
+    if not isfinite(value):
+        raise NumericOverflow("the sum of squared residuals is not finite")
+    return value
 
 
 def ssr(model: RegressionModel, data: Dataset) -> float:
-    """Sum of squared residuals of the model on the data."""
-    return _sum_of_squares(residuals(model, data))
+    """Sum of squared residuals of the model on the data.
+
+    Raises NumericOverflow when it is not finite.
+    """
+    return _ssr(model, data, 0)
 
 
 def goodness_of_fit(model: RegressionModel, data: Dataset) -> float:
     """R-squared: 1 - SSR/SST.
 
-    Raises ConstantResponse when the response has zero variation (an
-    empty one included) and NumericOverflow when a sum of squares is not
-    finite.
+    Both sums run on values scaled by the same power of two: the response
+    as `_scaled` gives it, and the residuals by its 2**-E. Their ratio is
+    then the unscaled one, and SST is finite. Raises NumericOverflow when
+    the scaled SSR is not finite, and otherwise ConstantResponse when the
+    response has zero variation (an empty one included).
     """
-    try:
-        r_bar = fsum(data.rs) / max(data.n, 1)
-        sst = _sum_of_squares([r - r_bar for r in data.rs])
-        ssr_value = ssr(model, data)
-    except (OverflowError, ValueError) as exc:
-        raise NumericOverflow("a sum of squares is not finite") from exc
-    if not (isfinite(sst) and isfinite(ssr_value)):
-        raise NumericOverflow("a sum of squares is not finite")
+    rs, _, shift = _scaled(data.rs)
+    r_bar = fsum(rs) / max(len(rs), 1)
+    sst = _sum_of_squares([r - r_bar for r in rs])
+    ssr_value = _ssr(model, data, shift)
     if sst == 0.0:
         raise ConstantResponse("response is constant; R-squared undefined")
     return 1.0 - ssr_value / sst

@@ -96,7 +96,7 @@ def test_criterion_3_ols_oracle_equivalence():
         ):
             failures += 1
             continue
-        base = model.ssr
+        base = regression.ssr(model, data)
         deltas = rng.normal(size=(100, 2))
         mu0s = model.mu0_hat + deltas[:, 0]
         mu1s = model.mu1_hat + deltas[:, 1]
@@ -114,9 +114,10 @@ def test_criterion_3_ols_oracle_equivalence():
 
 def test_criterion_4_hand_derived_fit_with_grid_oracle():
     model = regression.fit(THREE_POINTS)
+    ssr = regression.ssr(model, THREE_POINTS)
     ok = abs(model.mu1_hat - 1.5) <= 1e-12 * 1.5
     ok &= abs(model.mu0_hat - 1 / 3) <= 1e-12 * (1 / 3)
-    ok &= abs(model.ssr - 1 / 6) <= 1e-12 * (1 / 6)
+    ok &= abs(ssr - 1 / 6) <= 1e-12 * (1 / 6)
 
     # Independent oracle: brute-force SSR over the coefficient grid
     # [-5, 5]^2 at step 1e-3, evaluated directly per grid point.
@@ -124,7 +125,7 @@ def test_criterion_4_hand_derived_fit_with_grid_oracle():
     (mu0, mu1), best = grid_search_ssr(THREE_POINTS, step=step)
     ok &= abs(mu0 - model.mu0_hat) <= step + 1e-9
     ok &= abs(mu1 - model.mu1_hat) <= step + 1e-9
-    ok &= model.ssr <= best + 1e-12
+    ok &= ssr <= best + 1e-12
     report("criterion 4: hand-derived 3-point fit confirmed by grid search", ok)
 
 

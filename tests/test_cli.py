@@ -77,7 +77,8 @@ EXAMPLE_REPLAY = ["replay", "--script", str(DATA / "example_build.replay")]
 TRANSCRIPT = (DATA / "example_build.out").read_text(encoding="utf-8")
 REPLAY_INPUT = ["replay", "--script", "input"]
 # (1,1), (2,2), (3,3) with w scaled by 2^100 and r by 2^1000: the slope is
-# 2^900, the SSR 0, but sum((w - w_bar) * (r - r_bar)) is not finite.
+# 2^900, the SSR 0, but sum((w - w_bar) * (r - r_bar)) and the SST are
+# not finite unscaled.
 HUGE_RESPONSE = "\nR1,W1,".join(f"{k * 2.0**100!r},{k * 2.0**1000!r}" for k in (1, 2, 3))
 # Names are tokens, which may contain ':'; fit --all lists a pair R:1,W1.
 COLON_ROWS = "R:1,W1,1,2\nR:1,W1,2,3\nR:1,W1,3,5\n"
@@ -130,14 +131,23 @@ CASES = {
            f"{FIT}R1,W1,0.3333333333333335,{1.5 / 2.0**k!r},0.16666666666666652,0.9642857142857143,3\n",
            input=csv("".join(f"R1,W1,{w * 2.0**k!r},{r}\n" for w, r in [(1, 2), (2, 3), (3, 5)])))
        for k in (600, -600)},
-    # HUGE_RESPONSE fits (fit sums r scaled), but its R-squared overflows.
+    # The first row's SSR overflows, the second row's line.
     **{f"TestFit::test_numeric_overflow[{rows}-{reason}]":
        Row(cmd("fit", "--all", input="input"), 1, err=f"error: {reason}\n",
            input=csv(f"R1,W1,{rows}\n"))
        for rows, reason in [
            ("1,1e200\nR1,W1,2,2e200\nR1,W1,3,5e200", "numeric overflow fitting R1:W1"),
-           ("0,0\nR1,W1,1,1.2e154\nR1,W1,2,2.4e154", "numeric overflow in R-squared for R1:W1"),
-           (HUGE_RESPONSE, "numeric overflow in R-squared for R1:W1")]},
+           ("0,-1.5e308\nR1,W1,1,1.5e308", "numeric overflow fitting R1:W1")]},
+    # Exact lines whose SST is not finite unscaled: R-squared sums r and the
+    # residuals scaled by one power of two.
+    **{f"TestFit::test_huge_response[{rows}]":
+       Row(cmd("fit", "--all", input="input"), 0, FIT + out, input=csv(f"R1,W1,{rows}\n"))
+       for rows, out in [("0,0\nR1,W1,1,1.2e154\nR1,W1,2,2.4e154", "R1,W1,0,1.2e+154,0,1,3\n"),
+                         (HUGE_RESPONSE, "R1,W1,0,8.45271e+270,0,1,3\n")]},
+    # Every pair's line is fitted before any SSR is summed.
+    "TestFit::test_line_errors_come_first":
+        Row(cmd("fit", "--all", input="input"), 1, err="error: singular design for R2:W1\n",
+            input=csv("R1,W1,1,1e200\nR1,W1,2,2e200\nR1,W1,3,5e200\nR2,W1,1,4\nR2,W1,1,6\n")),
     "TestFit::test_missing_file":
         Row(cmd("fit", "--all", input="no-such.csv"), 2,
             err=f"error: cannot read no-such.csv: {ENOENT}: 'no-such.csv'\n"),
@@ -170,6 +180,12 @@ CASES = {
             "2,2.5353e+30,2.14302e+301,2.14302e+301,0\n"
             "3,3.80295e+30,3.21453e+301,3.21453e+301,0\n",
             input=csv(f"R1,W1,{HUGE_RESPONSE}\n")),
+    # Its SSR overflows, which residuals does not sum.
+    "TestResiduals::test_overflowing_ssr":
+        Row(cmd("residuals", "--pair", "R1:W1", input="input"), 0,
+            "a,w,r,fitted,residual\n1,1,1e+200,6.66667e+199,3.33333e+199\n"
+            "2,2,2e+200,2.66667e+200,-6.66667e+199\n3,3,5e+200,4.66667e+200,3.33333e+199\n",
+            input=csv("R1,W1,1,1e200\nR1,W1,2,2e200\nR1,W1,3,5e200\n")),
     "TestResiduals::test_negative_zero_prints_as_0":
         Row(cmd("residuals", "--pair", "R1:W1", input="input"), 0,
             "a,w,r,fitted,residual\n1,0,0,0,0\n2,1,0,0,0\n3,2,0,0,0\n",
@@ -229,6 +245,10 @@ CASES = {
     "TestAllocate::test_overflowing_fit":
         Row(cmd("allocate", "--at", "1", *ONE, input="input"), 1,
             err="error: numeric overflow fitting R1:W1\n",
+            input=csv("R1,W1,0,-1.5e308\nR1,W1,1,1.5e308\n")),
+    # Its SSR overflows, but allocate needs only the line.
+    "TestAllocate::test_overflowing_ssr":
+        Row(cmd("allocate", "--at", "1", *ONE, input="input"), 0, "    W1\nR1  ✓\n",
             input=csv("R1,W1,1,1e200\nR1,W1,2,2e200\nR1,W1,3,5e200\n")),
     "TestAllocate::test_missing_pair":
         Row(cmd("allocate", "--at", "1", "--resources", "R1,R2,R3", "--workloads", "W1,W2"), 1,

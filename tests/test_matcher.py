@@ -46,7 +46,7 @@ def test_exact_optima_matches_permutation_optima():
 
 
 def test_build_cost_matrix_constant():
-    model = RegressionModel(2.0, 0.0, 0.0, 2)
+    model = RegressionModel(2.0, 0.0)
     models = {(r, w): model for r in ["R1", "R2"] for w in ["W1", "W2"]}
     costs = matcher.build_cost_matrix(models, ["R1", "R2"], ["W1", "W2"], 9.0)
     assert costs.cost == ((2.0, 2.0), (2.0, 2.0))
@@ -54,8 +54,8 @@ def test_build_cost_matrix_constant():
 
 def test_build_cost_matrix_intercepts_when_flat():
     models = {
-        ("R1", "W1"): RegressionModel(1.0, 0.0, 0.0, 2),
-        ("R1", "W2"): RegressionModel(4.0, 0.0, 0.0, 2),
+        ("R1", "W1"): RegressionModel(1.0, 0.0),
+        ("R1", "W2"): RegressionModel(4.0, 0.0),
     }
     for at in (0.0, 5.0, -3.0):
         costs = matcher.build_cost_matrix(models, ["R1"], ["W1", "W2"], at)
@@ -64,10 +64,10 @@ def test_build_cost_matrix_intercepts_when_flat():
 
 def test_build_cost_matrix_hand_predictions():
     models = {
-        ("R1", "W1"): RegressionModel(1.0, 2.0, 0.0, 2),
-        ("R1", "W2"): RegressionModel(0.0, -1.0, 0.0, 2),
-        ("R2", "W1"): RegressionModel(3.0, 0.5, 0.0, 2),
-        ("R2", "W2"): RegressionModel(-2.0, 1.0, 0.0, 2),
+        ("R1", "W1"): RegressionModel(1.0, 2.0),
+        ("R1", "W2"): RegressionModel(0.0, -1.0),
+        ("R2", "W1"): RegressionModel(3.0, 0.5),
+        ("R2", "W2"): RegressionModel(-2.0, 1.0),
     }
     costs = matcher.build_cost_matrix(models, ["R2", "R1"], ["W2", "W1"], 2.0)
     # Orders are sorted regardless of argument order.
@@ -84,7 +84,7 @@ def test_build_cost_matrix_missing_model():
 
 
 def test_build_cost_matrix_repeated_name():
-    model = RegressionModel(1.0, 0.0, 0.0, 2)
+    model = RegressionModel(1.0, 0.0)
     with pytest.raises(ValueError, match="duplicate resource or workload names"):
         matcher.build_cost_matrix({("R1", "W1"): model}, ["R1", "R1"], ["W1"], 0.0)
 
@@ -92,8 +92,8 @@ def test_build_cost_matrix_repeated_name():
 @pytest.mark.parametrize("at", [1e308, -1e308])
 def test_build_cost_matrix_overflowing_prediction(at):
     models = {
-        ("R1", "W1"): RegressionModel(0.0, 1.0, 0.0, 3),
-        ("R1", "W2"): RegressionModel(0.0, 10.0, 0.0, 3),
+        ("R1", "W1"): RegressionModel(0.0, 1.0),
+        ("R1", "W2"): RegressionModel(0.0, 10.0),
     }
     with pytest.raises(matcher.NonFiniteCost, match="pair R1:W2") as info:
         matcher.build_cost_matrix(models, ["R1"], ["W1", "W2"], at)
@@ -103,7 +103,7 @@ def test_build_cost_matrix_overflowing_prediction(at):
 
 @pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")])
 def test_build_cost_matrix_non_finite_demand(at):
-    model = RegressionModel(1.0, 2.0, 0.0, 2)
+    model = RegressionModel(1.0, 2.0)
     with pytest.raises(ValueError, match="^predictor value must be finite$"):
         matcher.build_cost_matrix({("R1", "W1"): model}, ["R1"], ["W1"], at)
 

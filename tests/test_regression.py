@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +15,11 @@ from ols_oracle import THREE_POINTS, exact_fit, random_dataset
 
 
 def test_fit_exact_line():
-    model = regression.fit(Dataset([1, 2, 3], [1, 2, 3]))
+    data = Dataset([1, 2, 3], [1, 2, 3])
+    model = regression.fit(data)
     assert model.mu0_hat == pytest.approx(0.0, abs=1e-12)
     assert model.mu1_hat == pytest.approx(1.0, rel=1e-12)
-    assert model.ssr == pytest.approx(0.0, abs=1e-12)
+    assert regression.ssr(model, data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_singular_design():
@@ -29,7 +32,7 @@ def test_fit_offset_predictor_is_not_singular():
     model = regression.fit(shifted)
     assert model.mu1_hat == pytest.approx(1.5, rel=1e-12)
     assert model.mu0_hat == pytest.approx(1 / 3 - 1.5e6, rel=1e-12)
-    assert model.ssr == pytest.approx(1 / 6, rel=1e-9)
+    assert regression.ssr(model, shifted) == pytest.approx(1 / 6, rel=1e-9)
 
 
 @pytest.mark.parametrize("scale", [2.0**-600, 2.0**-200, 2.0**-40, 2.0**40, 2.0**200,
@@ -45,19 +48,33 @@ def test_fit_singularity_test_is_scale_aware(scale):
 
 
 @pytest.mark.parametrize("pairs", [
-    [(0, -1.7e308), (1, 1.7e308), (2, 1.7e308)],  # r - r_bar overflows
+    [(0, -1.7e308), (1, 1.7e308), (2, 1.7e308)],  # unscaled, r - r_bar overflows
     [(0, -1.5e308), (1, 1.5e308)],  # the slope overflows
     [(0, 1e308), (1, -1e308), (2, 1e308)],  # the squared residuals overflow
+    [(1, 1e200), (2, 2e200), (3, 5e200)],  # the same, r summed as given
 ])
 def test_fit_overflow_is_a_regression_error(pairs):
-    with pytest.raises(regression.NumericOverflow) as info:
-        regression.fit(Dataset(*zip(*pairs)))
+    # fit raises where the exact line is beyond the float range (the second
+    # row). Elsewhere the exact SSR is, so fit's line is near exact and
+    # ssr raises.
+    data = Dataset(*zip(*pairs))
+    slope, intercept, exact_ssr = exact_fit(data)
+    if max(abs(slope), abs(intercept)) > sys.float_info.max:
+        with pytest.raises(regression.NumericOverflow) as info:
+            regression.fit(data)
+    else:
+        assert exact_ssr > sys.float_info.max
+        model = regression.fit(data)
+        assert_near_exact(data, model, with_ssr=False)
+        with pytest.raises(regression.NumericOverflow) as info:
+            regression.ssr(model, data)
     assert isinstance(info.value, regression.RegressionError)
 
 
-def assert_near_exact(data, model):
-    """fit's slope, its line at the smallest and largest w, and the root of
-    its SSR, against the exact fit, within a bound on fit's rounding.
+def assert_near_exact(data, model, with_ssr=True):
+    """fit's slope, its line at the smallest and largest w, and (with_ssr)
+    the root of its SSR, against the exact fit, within a bound on fit's
+    rounding.
 
     With u = 2**-53, spread = max w - min w, R = max|r| and kappa =
     max|w| / spread, the means are off by at most 2u max|w| and 2u R, and
@@ -79,9 +96,12 @@ def assert_near_exact(data, model):
     assert abs(Fraction(model.mu1_hat) - slope) * spread <= tol * big_r
     for w in (lo, hi):
         line = Fraction(model.mu0_hat) + Fraction(model.mu1_hat) * Fraction(w)
-        assert abs(line - (intercept + slope * w)) <= tol * big_r
-    # |sqrt(model.ssr) - sqrt(ssr)| <= bound, squared: ssr may exceed any float.
-    root, bound = Fraction(math.sqrt(model.ssr)), 2 * Fraction(math.sqrt(n)) * tol * big_r
+        assert abs(line - (intercept + slope * Fraction(w))) <= tol * big_r
+    if not with_ssr:
+        return
+    # |sqrt(computed) - sqrt(ssr)| <= bound, squared: ssr may exceed any float.
+    root = Fraction(math.sqrt(regression.ssr(model, data)))
+    bound = 2 * Fraction(math.sqrt(n)) * tol * big_r
     assert max(root - bound, 0) ** 2 <= ssr <= (root + bound) ** 2
 
 
@@ -99,9 +119,7 @@ def assert_near_exact(data, model):
 ])
 def test_fit_at_any_predictor_magnitude(pairs):
     data = Dataset(*zip(*pairs))
-    model = regression.fit(data)
-    assert model.ssr == regression.ssr(model, data)
-    assert_near_exact(data, model)
+    assert_near_exact(data, regression.fit(data))
 
 
 @settings(deadline=None)
@@ -127,40 +145,57 @@ def test_fit_matches_the_exact_fit_on_offset_data(seed, offset, k):
 def test_fit_matches_the_exact_fit_at_any_response_magnitude(seed, c, a, excess, m):
     # A line c + w through random w, plus noise 2**-m of it, with w scaled
     # by 2**a and r by 2**b. b = 1016 - a + excess puts the unscaled
-    # sum((w - w_bar) * (r - r_bar)) near 2**(1024 + excess), so on about
-    # half of the draws fit sums r scaled. Scaling r by 2**b is exact, so
-    # the fit scales with it bit for bit, or raises where the scaled line
-    # or SSR is not finite (for b above about 560, the noise's and r's own
-    # rounding make the SSR overflow). Where it fits, it is near exact.
+    # sum((w - w_bar) * (r - r_bar)) near 2**(1024 + excess), and r beyond
+    # the exponents fit sums as given. Scaling r by 2**b is exact, so the
+    # line scales with it bit for bit, or fit raises where the scaled line
+    # is not finite; the SSR scales by 2**(2b), or ssr raises where that is
+    # not finite (for b above about 560, the noise's and r's own rounding
+    # make it overflow). Where it fits, the line is near exact.
     b = 1016 - a + excess
     assume(b <= 1018)
     base = random_dataset(np.random.default_rng(seed))
     ws = [math.ldexp(w, a) for w in base.ws]
     rs = [c + w + math.ldexp(r, -m) for w, r in zip(base.ws, base.rs)]
-    unscaled = regression.fit(Dataset(ws, rs))
+    unscaled = Dataset(ws, rs)
+    line = regression.fit(unscaled)
     data = Dataset(ws, (math.ldexp(r, b) for r in rs))
     try:
-        sigma2 = unscaled.sigma2_hat
-        expected = repr((
-            math.ldexp(unscaled.mu0_hat, b), math.ldexp(unscaled.mu1_hat, b),
-            math.ldexp(unscaled.ssr, 2 * b), unscaled.n,
-            None if sigma2 is None else math.ldexp(sigma2, 2 * b)))
+        expected = repr((math.ldexp(line.mu0_hat, b), math.ldexp(line.mu1_hat, b)))
     except OverflowError:
         expected = regression.NumericOverflow
     assert _fit_outcome(regression.fit, data) == expected
-    if expected is not regression.NumericOverflow:
-        assert_near_exact(data, regression.fit(data))
+    if expected is regression.NumericOverflow:
+        return
+    model = regression.fit(data)
+    try:
+        ssr = math.ldexp(regression.ssr(line, unscaled), 2 * b)
+    except OverflowError:
+        with pytest.raises(regression.NumericOverflow):
+            regression.ssr(model, data)
+        assert_near_exact(data, model, with_ssr=False)
+    else:
+        assert regression.ssr(model, data) == ssr
+        assert_near_exact(data, model)
 
 
 def test_goodness_of_fit_overflow_is_a_regression_error():
-    data = Dataset([0, 1, 2], [0, 1.2e154, 2.4e154])
-    model = regression.fit(data)
-    assert model.mu1_hat == 1.2e154
-    with pytest.raises(regression.NumericOverflow):
-        regression.goodness_of_fit(model, data)
-    steep = regression.RegressionModel(0.0, 1e300, 0.0, 3)  # residuals overflow
+    steep = regression.RegressionModel(0.0, 1e300)  # residuals overflow
     with pytest.raises(regression.NumericOverflow):
         regression.goodness_of_fit(steep, THREE_POINTS)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-1000, 1000), st.sampled_from([-600, 600]))
+def test_r_squared_at_any_scale(seed, b, a):
+    # goodness_of_fit sums r and the residuals scaled by one power of two,
+    # so scaling w by 2**a and r by 2**b, which fit's line follows bit for
+    # bit, leaves R-squared the same bits: SST never overflows. |b - a| is
+    # bounded so that the slope, scaled by 2**(b - a), stays a normal float.
+    assume(abs(b - a) <= 1000)
+    base = random_dataset(np.random.default_rng(seed), min_spread=1e-3)
+    data = Dataset((math.ldexp(w, a) for w in base.ws), (math.ldexp(r, b) for r in base.rs))
+    r2 = regression.goodness_of_fit(regression.fit(base), base)
+    assert regression.goodness_of_fit(regression.fit(data), data) == r2
 
 
 @given(
@@ -178,10 +213,11 @@ def test_slope_is_translation_invariant(pairs, shift):
 
 
 def test_fit_constant_response():
-    model = regression.fit(Dataset([0, 1, 2], [5, 5, 5]))
+    data = Dataset([0, 1, 2], [5, 5, 5])
+    model = regression.fit(data)
     assert model.mu1_hat == pytest.approx(0.0, abs=1e-12)
     assert model.mu0_hat == pytest.approx(5.0, rel=1e-12)
-    assert model.ssr == pytest.approx(0.0, abs=1e-12)
+    assert regression.ssr(model, data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_insufficient_data():
@@ -189,16 +225,10 @@ def test_fit_insufficient_data():
         regression.fit(Dataset([1], [1]))
 
 
-def test_sigma2_presence():
-    assert regression.fit(Dataset([0, 1], [0, 1])).sigma2_hat is None
-    model = regression.fit(THREE_POINTS)
-    assert model.sigma2_hat == pytest.approx(model.ssr / (model.n - 2), rel=1e-12)
-
-
 def test_predict():
-    identity = regression.RegressionModel(0.0, 1.0, 0.0, 2)
+    identity = regression.RegressionModel(0.0, 1.0)
     assert regression.predict(identity, 7.0) == 7.0
-    flat = regression.RegressionModel(5.0, 0.0, 0.0, 2)
+    flat = regression.RegressionModel(5.0, 0.0)
     assert regression.predict(flat, 123.0) == 5.0
     model = regression.fit(THREE_POINTS)
     # Line passes through the mean point.
@@ -221,7 +251,7 @@ def test_residuals_perfect_fit():
 
 
 def test_residuals_single_point_definition():
-    model = regression.RegressionModel(1.0, 2.0, 0.0, 2)
+    model = regression.RegressionModel(1.0, 2.0)
     data = Dataset([3], [10])
     assert regression.residuals(model, data) == [10 - (1 + 2 * 3)]
 
@@ -229,27 +259,6 @@ def test_residuals_single_point_definition():
 def test_ssr_three_points():
     model = regression.fit(THREE_POINTS)
     assert regression.ssr(model, THREE_POINTS) == pytest.approx(1 / 6, rel=1e-12)
-
-
-def test_fit_ssr_is_the_ssr_of_its_model():
-    # Squaring with `** 2` (the C library's pow) rounds 123008.00000000001
-    # down to 123008.0 on these rows, while `ssr` squares with `*`.
-    data = Dataset([32, 34, 32], [1096, 1525, 1592])
-    model = regression.fit(data)
-    assert model.ssr == regression.ssr(model, data)
-
-
-def test_fit_ssr_is_the_ssr_of_its_model_random():
-    rng = random.Random(0)
-    for _ in range(2000):
-        n = rng.randint(3, 12)
-        data = Dataset(*zip(*((rng.randint(30, 40), rng.randint(1000, 2000))
-                               for _ in range(n))))
-        try:
-            model = regression.fit(data)
-        except regression.SingularDesign:
-            continue
-        assert model.ssr == regression.ssr(model, data), data
 
 
 def test_goodness_of_fit():
@@ -264,6 +273,9 @@ def test_goodness_of_fit():
     flat = Dataset([0, 1, 2], [5, 5, 5])
     with pytest.raises(regression.ConstantResponse):
         regression.goodness_of_fit(regression.fit(flat), flat)
+    # A response beyond 2**511, whose SST overflows unscaled, has one too.
+    huge = Dataset([0, 1, 2], [0, 1.2e154, 2.4e154])
+    assert regression.goodness_of_fit(regression.fit(huge), huge) == 1.0
     # An empty response has no variation either.
     with pytest.raises(regression.ConstantResponse):
         regression.goodness_of_fit(model, Dataset([], []))
@@ -303,6 +315,17 @@ def test_dataset_rejects_a_non_finite_value(bad, column):
         Dataset._make(columns.values())
 
 
+def test_dataset_pickles_through_its_constructor():
+    data = Dataset([1.0], [2.0])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(data, protocol)) == data
+    # Protocols 0 and 1 would otherwise rebuild the tuple unchecked.
+    text = pickle.dumps(data, 0)
+    assert b"F2.0" in text
+    with pytest.raises(ValueError, match="^observations must be finite$"):
+        pickle.loads(text.replace(b"F2.0", b"Fnan"))
+
+
 def test_diagnostics_sum_the_observations_in_order():
     # Reading the columns must give the very sums the observation-wise
     # definitions give, bit for bit. Squares are products `d * d`, as the
@@ -339,38 +362,36 @@ def test_affine_equivariance():
     for _ in range(100):
         data = random_dataset(rng)
         # Scaling w by 2^a and r by 2^b is exact, even with an offset, so
-        # the fit scales with them bit for bit; two times in three a is
-        # ±600, beyond the exponents fit sums as given. Other scales and
-        # shifts hold to fit's rounding, which
+        # the line and its SSR scale with them bit for bit; two times in
+        # three a is ±600, beyond the exponents fit sums as given. Other
+        # scales and shifts hold to fit's rounding, which
         # test_fit_matches_the_exact_fit_on_offset_data bounds.
         a = int(rng.choice([-600, 600, int(rng.integers(-200, 201))]))
         b = int(rng.integers(-200, 201))
         offset = float(rng.choice([0.0, 1e3, 1e6]))
-        ws = [w + offset for w in data.ws]
-        rs = [r + offset for r in data.rs]
-        base = regression.fit(Dataset(ws, rs))
-        pow2 = regression.fit(
-            Dataset((math.ldexp(w, a) for w in ws), (math.ldexp(r, b) for r in rs))
-        )
-        sigma2 = None if base.sigma2_hat is None else math.ldexp(base.sigma2_hat, 2 * b)
+        unscaled = Dataset((w + offset for w in data.ws), (r + offset for r in data.rs))
+        scaled = Dataset((math.ldexp(w, a) for w in unscaled.ws),
+                         (math.ldexp(r, b) for r in unscaled.rs))
+        base, pow2 = regression.fit(unscaled), regression.fit(scaled)
         expected = regression.RegressionModel(
-            math.ldexp(base.mu0_hat, b), math.ldexp(base.mu1_hat, b - a),
-            math.ldexp(base.ssr, 2 * b), base.n, sigma2,
+            math.ldexp(base.mu0_hat, b), math.ldexp(base.mu1_hat, b - a)
         )
         assert repr(pow2) == repr(expected)
+        assert regression.ssr(pow2, scaled) == math.ldexp(regression.ssr(base, unscaled), 2 * b)
 
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         Dataset([float("nan")], [1.0])
     with pytest.raises(ValueError):
-        regression.predict(regression.RegressionModel(0, 1, 0, 2), float("inf"))
+        regression.predict(regression.RegressionModel(0, 1), float("inf"))
 
 
 def reference_fit(data):
     """`fit` as written before it squared through `map(mul, ...)`: list
     comprehensions for every square and product, the same sums in the same
-    order. The oracle that the rewritten `fit` returns the same bits."""
+    order, on both columns as given. The oracle that the rewritten `fit`
+    returns the same bits."""
     n = data.n
     if n < 2:
         raise regression.InsufficientData(f"need at least 2 observations, got {n}")
@@ -388,14 +409,11 @@ def reference_fit(data):
             raise regression.SingularDesign("all predictor values are (nearly) equal")
         mu1 = sxy / sxx
         mu0 = r_bar - mu1 * w_bar
-        res = [r - (mu0 + mu1 * w) for w, r in zip(ws, rs)]
-        ssr_value = math.fsum([e * e for e in res])
-        if not (math.isfinite(mu1) and math.isfinite(mu0) and math.isfinite(ssr_value)):
+        if not (math.isfinite(mu1) and math.isfinite(mu0)):
             raise OverflowError
     except (OverflowError, ValueError) as exc:
         raise regression.NumericOverflow("an intermediate is not finite") from exc
-    sigma2 = ssr_value / (n - 2) if n > 2 else None
-    return regression.RegressionModel(mu0, mu1, ssr_value, n, sigma2)
+    return regression.RegressionModel(mu0, mu1)
 
 
 def _fit_outcome(fit, data):
@@ -433,10 +451,11 @@ finite = st.floats(-1e6, 1e6)
 def test_fit_matches_reference_bit_for_bit_property(pairs, offset, scale):
     ws, rs = zip(*pairs)
     data = Dataset(((w + offset) * scale for w in ws), (r * scale for r in rs))
-    # reference_fit sums the predictor as given, as fit does in this range
+    # reference_fit sums both columns as given, as fit does in this range
     # (and at 0, which it scales by 2**0).
-    w_max = max(map(abs, data.ws))
-    assume(w_max == 0 or regression._W_SMALL <= w_max < regression._W_LARGE)
+    for column in data:
+        top = max(map(abs, column))
+        assume(top == 0 or regression._SMALL <= top < regression._LARGE)
     assert _fit_outcome(regression.fit, data) == _fit_outcome(reference_fit, data)
 
 
@@ -447,9 +466,9 @@ def test_fit_matches_reference_bit_for_bit_property(pairs, offset, scale):
         ([(1.0, 2.0)], regression.InsufficientData),
         ([(1, 4), (1, 6)], regression.SingularDesign),
         ([(3e9, 1), (3e9, 2), (3e9, 5)], regression.SingularDesign),
-        ([(1, 1e200), (2, 2e200), (3, 5e200)], regression.NumericOverflow),
-        ([(0, -1.5e308), (1, 1.5e308)], regression.NumericOverflow),
-        ([(0, 1e308), (1, -1e308), (2, 1e308)], regression.NumericOverflow),
+        ([(0, 0), (1e-10, 1e300)], regression.NumericOverflow),  # the slope
+        ([(0, -1.5e308), (1, 1.5e308)], regression.NumericOverflow),  # the slope
+        ([(1e10, 0), (1e10 + 1, 1e300)], regression.NumericOverflow),  # the intercept
     ],
 )
 def test_fit_raises_the_reference_error(pairs, error):

@@ -19,10 +19,7 @@ VALUES = [
     (AllocationState([("R1", "W1")]), ["pairs", "allocation"]),
     (OpOutcome(AllocationState(), Report.OK), ["state", "report", "payload"]),
     (Dataset([1, 2], [2, 3]), ["ws", "rs"]),
-    (
-        RegressionModel(0.0, 1.0, 0.0, 2),
-        ["mu0_hat", "mu1_hat", "ssr", "n", "sigma2_hat"],
-    ),
+    (RegressionModel(0.0, 1.0), ["mu0_hat", "mu1_hat"]),
     (ReplayCommand(1, "INIT"), ["line", "op", "args", "expect"]),
     (COSTS, ["resources", "workloads", "cost"]),
     (
