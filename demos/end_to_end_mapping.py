@@ -25,7 +25,7 @@ costs = build_cost_matrix(models, resources, workloads, w_query=0.5)
 assignment = assign(costs)
 
 print(render_assignment(assignment))
-print("total predicted cost:", assignment.total_cost())
+print("total predicted cost:", costs.total(assignment.marks))
 
 state = matrix_to_state(assignment)
 print("R4 runs:", find(state, "R4").payload)

@@ -4,6 +4,8 @@ Builds a predicted-cost matrix from fitted regression models and solves the
 minimum-cost one-to-one assignment, producing a check-mark matrix with at
 most one mark per row and per column. Among equal-cost optima the
 lexicographically smallest mark set is returned, so outputs are reproducible.
+Each value type is checked once, by its constructor; a mark matrix can draw
+any allocation state whose names are in its orders.
 
 The assignment takes one call to `linear_sum_assignment`, a pure-Python
 shortest-augmenting-path solver (Crouse 2016; Jonker and Volgenant 1987)
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import fsum, isfinite
 from operator import lt
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .core import AllocationState, check_token
 from .regression import RegressionModel, predict
@@ -35,17 +37,15 @@ class MissingModel(MatcherError):
         self.workload = workload
 
 
-class NonFiniteCost(MatcherError):
+class NonFiniteCost(MatcherError, ValueError):
+    """A cost that is not finite: a matcher error, and a malformed `CostMatrix`."""
+
     def __init__(self, resource: str, workload: str, value: float):
         super().__init__(
             f"predicted cost for pair {resource}:{workload} is not finite ({value})"
         )
         self.resource = resource
         self.workload = workload
-
-
-class NotInjective(MatcherError):
-    """Two resources allocated to the same workload; no matrix form exists."""
 
 
 class UnknownLabel(MatcherError):
@@ -55,9 +55,10 @@ class UnknownLabel(MatcherError):
 class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
     """Rectangular grid of predicted costs, rows=resources, cols=workloads.
 
-    Orders are strictly lexicographic by id, so no label repeats; all
-    entries finite. The one constructor checks both, for
-    `build_cost_matrix` as for any caller.
+    Every name is a token (`core.check_token`), each order is strictly
+    lexicographic, so no label repeats, and every entry is finite. The one
+    constructor checks all three, for `build_cost_matrix` as for any
+    caller; a non-finite entry raises `NonFiniteCost` naming its pair.
     """
 
     __slots__ = ()
@@ -68,22 +69,32 @@ class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
         workloads: tuple[str, ...],
         cost: tuple[tuple[float, ...], ...],
     ) -> "CostMatrix":
-        if not all(map(lt, resources, resources[1:])):
-            raise ValueError("resources must be in lexicographic order, without repeats")
-        if not all(map(lt, workloads, workloads[1:])):
-            raise ValueError("workloads must be in lexicographic order, without repeats")
+        for side, names in (("resources", resources), ("workloads", workloads)):
+            for name in names:
+                check_token(name)
+            if not all(map(lt, names, names[1:])):
+                raise ValueError(f"{side} must be in lexicographic order, without repeats")
         if len(cost) != len(resources):
             raise ValueError("cost row count must match resources")
-        for row in cost:
+        for resource, row in zip(resources, cost):
             if len(row) != len(workloads):
                 raise ValueError("cost column count must match workloads")
             if not all(map(isfinite, row)):
-                raise ValueError("cost entries must be finite")
+                j = list(map(isfinite, row)).index(False)
+                raise NonFiniteCost(resource, workloads[j], row[j])
         return tuple.__new__(cls, (resources, workloads, cost))
 
+    def total(self, marks) -> float:
+        """Sum of the marked cells' costs, correctly rounded whatever the marks' order."""
+        return fsum(self.cost[i][j] for i, j in marks)
 
-class AssignmentMatrix(namedtuple("AssignmentMatrix", "resources workloads marks cost")):
-    """Marks (resource-index, workload-index): at most one per row and column."""
+
+class AssignmentMatrix(namedtuple("AssignmentMatrix", "resources workloads marks")):
+    """A drawn allocation: marks (resource-index, workload-index).
+
+    At most one mark per row, as core allows a resource one workload; a
+    column may hold several.
+    """
 
     __slots__ = ()
 
@@ -92,22 +103,14 @@ class AssignmentMatrix(namedtuple("AssignmentMatrix", "resources workloads marks
         resources: tuple[str, ...],
         workloads: tuple[str, ...],
         marks: frozenset,
-        cost: Optional[CostMatrix] = None,
     ) -> "AssignmentMatrix":
         rows = [i for i, _ in marks]
-        cols = [j for _, j in marks]
-        if len(rows) != len(set(rows)) or len(cols) != len(set(cols)):
-            raise ValueError("at most one mark per row and per column")
+        if len(rows) != len(set(rows)):
+            raise ValueError("at most one mark per row")
         for i, j in marks:
             if not (0 <= i < len(resources) and 0 <= j < len(workloads)):
                 raise ValueError(f"mark out of range: {(i, j)}")
-        return tuple.__new__(cls, (resources, workloads, marks, cost))
-
-    def total_cost(self) -> float:
-        """Sum of the marked costs, correctly rounded whatever the marks' order."""
-        if self.cost is None:
-            raise ValueError("no cost matrix attached")
-        return fsum(self.cost.cost[i][j] for i, j in self.marks)
+        return tuple.__new__(cls, (resources, workloads, marks))
 
 
 def build_cost_matrix(
@@ -118,13 +121,11 @@ def build_cost_matrix(
 ) -> CostMatrix:
     """Predicted cost of each workload on each resource at demand level w_query.
 
-    Every (resource, workload) pair must have a fitted model whose
-    prediction is finite; the check here names the pair that fails it.
+    Every (resource, workload) pair must have a fitted model; `CostMatrix`
+    checks the names and that every prediction is finite.
     """
-    res = tuple(sorted(check_token(r) for r in resources))
-    wls = tuple(sorted(check_token(w) for w in workloads))
-    if len(set(res)) != len(res) or len(set(wls)) != len(wls):
-        raise ValueError("duplicate resource or workload names")
+    res = tuple(sorted(resources))
+    wls = tuple(sorted(workloads))
     rows = []
     for r in res:
         row = []
@@ -132,10 +133,7 @@ def build_cost_matrix(
             model = models.get((r, w))
             if model is None:
                 raise MissingModel(r, w)
-            cost = predict(model, w_query)
-            if not isfinite(cost):
-                raise NonFiniteCost(r, w, cost)
-            row.append(cost)
+            row.append(predict(model, w_query))
         rows.append(tuple(row))
     return CostMatrix(res, wls, tuple(rows))
 
@@ -286,7 +284,7 @@ def assign(costs: CostMatrix) -> AssignmentMatrix:
     """
     n_res, n_wl = len(costs.resources), len(costs.workloads)
     if n_res == 0 or n_wl == 0:
-        return AssignmentMatrix(costs.resources, costs.workloads, frozenset(), costs)
+        return AssignmentMatrix(costs.resources, costs.workloads, frozenset())
     # Every finite double is p/q with q a power of two: on the grid of the
     # largest q, each cost is exactly the integer p * (unit // q).
     ratios = [[c.as_integer_ratio() for c in row] for row in costs.cost]
@@ -303,7 +301,7 @@ def assign(costs: CostMatrix) -> AssignmentMatrix:
     square = [row + zeros[n_wl:] for row in matrix] + [zeros] * (n - n_res)
     col_of = _lex_min_tight(square, u, v, col_of)
     marks = {(i, j) for i, j in enumerate(col_of[:n_res]) if j < n_wl}
-    return AssignmentMatrix(costs.resources, costs.workloads, frozenset(marks), costs)
+    return AssignmentMatrix(costs.resources, costs.workloads, frozenset(marks))
 
 
 def matrix_to_state(m: AssignmentMatrix) -> AllocationState:
@@ -316,17 +314,13 @@ def matrix_to_state(m: AssignmentMatrix) -> AllocationState:
 def state_to_matrix(
     s: AllocationState, resources: Sequence[str], workloads: Sequence[str]
 ) -> AssignmentMatrix:
-    """Render an injective allocation as a mark matrix over the given orders."""
+    """Draw an allocation state as a mark matrix over the given orders."""
     res = tuple(resources)
     wls = tuple(workloads)
     res_index = {r: i for i, r in enumerate(res)}
     wl_index = {w: j for j, w in enumerate(wls)}
-    seen_workloads = set()
     marks = set()
     for resource, workload in s.pairs:
-        if workload in seen_workloads:
-            raise NotInjective(f"workload {workload} allocated to several resources")
-        seen_workloads.add(workload)
         if resource not in res_index:
             raise UnknownLabel(f"resource {resource} not in row order")
         if workload not in wl_index:

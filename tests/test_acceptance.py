@@ -148,10 +148,11 @@ def test_criterion_6_assignment_optimality():
     for _ in range(200):
         n = int(rng.integers(1, 8))
         grid = rng.uniform(-10, 10, (n, n))
-        result = matcher.assign(costs_of(grid))
+        costs = costs_of(grid)
+        result = matcher.assign(costs)
         cost, best = exact(grid), exact_optima(grid)[0]
         total = sum(cost[i][j] for i, j in result.marks)
-        if total != best or result.total_cost() != float(best):
+        if total != best or costs.total(result.marks) != float(best):
             mismatches += 1
     report(
         "criterion 6: optimal assignment equals exhaustive minimum on 200 matrices",

@@ -7,12 +7,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from wrmap import core, matcher
+from wrmap.cli import render_assignment
 from wrmap.matcher import AssignmentMatrix, CostMatrix
 from wrmap.regression import RegressionModel
 
 from exact_assignment import (
     REFERENCE_MARKS, costs_of, exact, exact_optima, reference_lex_min,
 )
+
+
+def one_per_column(result):
+    """`AssignmentMatrix` allows a column several marks; `assign` must not."""
+    cols = [j for _, j in result.marks]
+    return len(cols) == len(set(cols))
 
 
 def permutation_optima(grid):
@@ -85,8 +92,17 @@ def test_build_cost_matrix_missing_model():
 
 def test_build_cost_matrix_repeated_name():
     model = RegressionModel(1.0, 0.0)
-    with pytest.raises(ValueError, match="duplicate resource or workload names"):
+    with pytest.raises(
+        ValueError, match="^resources must be in lexicographic order, without repeats$"
+    ):
         matcher.build_cost_matrix({("R1", "W1"): model}, ["R1", "R1"], ["W1"], 0.0)
+
+
+def test_build_cost_matrix_non_token_name():
+    # A model for every pair, so only CostMatrix's token check can reject it.
+    model = RegressionModel(1.0, 0.0)
+    with pytest.raises(ValueError, match="^token may not contain whitespace or commas: 'R 1'$"):
+        matcher.build_cost_matrix({("R 1", "W1"): model}, ["R 1"], ["W1"], 0.0)
 
 
 @pytest.mark.parametrize("at", [1e308, -1e308])
@@ -110,9 +126,10 @@ def test_build_cost_matrix_non_finite_demand(at):
 
 def test_assign_diagonal():
     grid = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
-    result = matcher.assign(costs_of(grid))
+    costs = costs_of(grid)
+    result = matcher.assign(costs)
     assert result.marks == {(0, 0), (1, 1), (2, 2)}
-    assert result.total_cost() == 0
+    assert costs.total(result.marks) == 0
 
 
 @pytest.mark.parametrize(
@@ -122,16 +139,14 @@ def test_assign_diagonal():
 )
 def test_assign_empty_side(costs):
     result = matcher.assign(costs)
-    assert result == AssignmentMatrix(costs.resources, costs.workloads, frozenset(), costs)
+    assert result == AssignmentMatrix(costs.resources, costs.workloads, frozenset())
 
 
 def test_total_cost_is_correctly_rounded():
     # Added left to right in the marks' iteration order, 1e16 + 1.0 can
     # round the 1.0 away; the correctly rounded total is exactly 1.0.
     costs = costs_of([[1e16, 0, 0], [0, 1.0, 0], [0, 0, -1e16]])
-    marks = frozenset({(0, 0), (1, 1), (2, 2)})
-    result = AssignmentMatrix(costs.resources, costs.workloads, marks, costs)
-    assert result.total_cost() == 1.0
+    assert costs.total(frozenset({(0, 0), (1, 1), (2, 2)})) == 1.0
 
 
 def test_assign_reference_seven_by_seven():
@@ -145,9 +160,10 @@ def test_assign_reference_seven_by_seven():
 
 
 def test_assign_two_by_two():
-    result = matcher.assign(costs_of([[1, 2], [2, 1]]))
+    costs = costs_of([[1, 2], [2, 1]])
+    result = matcher.assign(costs)
     assert result.marks == {(0, 0), (1, 1)}
-    assert result.total_cost() == 2
+    assert costs.total(result.marks) == 2
 
 
 def test_assign_tie_break_lexicographic():
@@ -169,10 +185,12 @@ def test_assign_matches_brute_force_random():
     for _ in range(50):
         n = int(rng.integers(1, 6))
         grid = rng.uniform(-10, 10, (n, n)).round(3).tolist()
-        result = matcher.assign(costs_of(grid))
+        costs = costs_of(grid)
+        result = matcher.assign(costs)
         cost, best = exact(grid), exact_optima(grid)[0]
+        assert len(result.marks) == n and one_per_column(result)
         assert sum(cost[i][j] for i, j in result.marks) == best
-        assert result.total_cost() == float(best)
+        assert costs.total(result.marks) == float(best)
 
 
 def test_assign_row_column_shift_invariance():
@@ -223,11 +241,16 @@ def test_state_to_matrix_three_entry_example():
     assert m.marks == {(0, 2), (1, 1), (2, 0)}
 
 
+def test_state_to_matrix_many_to_one():
+    state = core.add(core.add(core.init(), "Res1", "W2").state, "Res3", "W2").state
+    m = matcher.state_to_matrix(state, ["Res1", "Res2", "Res3"], ["W1", "W2"])
+    assert m.marks == {(0, 1), (2, 1)}
+    assert render_assignment(m) == "      W1  W2\nRes1      ✓\nRes2\nRes3      ✓\n"
+    assert matcher.matrix_to_state(m) == state
+
+
 def test_state_to_matrix_errors():
     assert matcher.state_to_matrix(core.init(), [], []).marks == frozenset()
-    state = core.add(core.add(core.init(), "Res1", "W").state, "Res2", "W").state
-    with pytest.raises(matcher.NotInjective):
-        matcher.state_to_matrix(state, ["Res1", "Res2"], ["W"])
     one = core.add(core.init(), "Res1", "W1").state
     with pytest.raises(matcher.UnknownLabel):
         matcher.state_to_matrix(one, ["ResX"], ["W1"])
@@ -251,10 +274,27 @@ def test_round_trips():
         assert matcher.matrix_to_state(back) == state
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["R1", "R2", "R3", "R4"]),
+                    st.sampled_from(["W1", "W2", "W3"])),
+    st.permutations(["R1", "R2", "R3", "R4"]),
+    st.permutations(["W1", "W2", "W3"]),
+)
+def test_round_trips_on_any_state(allocation, names_r, names_w):
+    # Any state, not only a one-to-one one, over orders in any order.
+    state = core.AllocationState(allocation.items())
+    m = matcher.state_to_matrix(state, names_r, names_w)
+    assert len(m.marks) == len(allocation)
+    assert matcher.matrix_to_state(m) == state
+    assert matcher.state_to_matrix(matcher.matrix_to_state(m), names_r, names_w) == m
+
+
 def test_assignment_matrix_invariant():
-    with pytest.raises(ValueError):
-        AssignmentMatrix(("R1", "R2"), ("W1", "W2"), frozenset({(0, 0), (1, 0)}))
-    with pytest.raises(ValueError):
+    # Two resources may share a workload: two marks in one column.
+    shared = AssignmentMatrix(("R1", "R2"), ("W1", "W2"), frozenset({(0, 0), (1, 0)}))
+    assert matcher.matrix_to_state(shared).allocation == {"R1": "W1", "R2": "W1"}
+    with pytest.raises(ValueError, match="^at most one mark per row$"):
         AssignmentMatrix(("R1", "R2"), ("W1", "W2"), frozenset({(0, 0), (0, 1)}))
 
 
@@ -270,9 +310,10 @@ def test_assign_rectangular_finds_optimum_among_large_costs():
     # first corner; 0.5 is tiny next to the costs of 1e6.
     grid = np.full((2, 60), 1e6)
     grid[0, 59] = grid[1, 58] = 1e6 - 0.5
-    result = matcher.assign(costs_of(grid))
+    costs = costs_of(grid)
+    result = matcher.assign(costs)
     assert result.marks == {(0, 59), (1, 58)}
-    assert result.total_cost() == 1_999_999.0
+    assert costs.total(result.marks) == 1_999_999.0
 
 
 def sparse_zero_grids():
@@ -300,7 +341,9 @@ LARGE_GRIDS = {"sparse-zeros": sparse_zero_grids, **{
 @pytest.mark.parametrize("grids", LARGE_GRIDS.values(), ids=LARGE_GRIDS)
 def test_assign_agrees_with_reference_lex_min(grids):
     for grid in grids():
-        assert matcher.assign(costs_of(grid)).marks == reference_lex_min(grid)
+        result = matcher.assign(costs_of(grid))
+        assert one_per_column(result)
+        assert result.marks == reference_lex_min(grid)
 
 
 @st.composite
@@ -350,9 +393,10 @@ def test_assign_is_exact_on_a_near_tie_below_the_largest_cost():
     # The diagonal costs 1e-9 and the optimum 0; 1e-9 is a near-tie only
     # relative to the largest cost.
     grid = [[1e-9, 0, 1e3], [0, 0, 1e3], [1e3, 1e3, 0]]
-    result = matcher.assign(costs_of(grid))
+    costs = costs_of(grid)
+    result = matcher.assign(costs)
     assert result.marks == {(0, 1), (1, 0), (2, 2)}
-    assert result.total_cost() == 0.0
+    assert costs.total(result.marks) == 0.0
 
 
 def test_assign_is_exact_on_a_shifted_near_tie():
@@ -387,7 +431,7 @@ def test_assign_solves_once(monkeypatch, shape):
     grid = np.random.default_rng(47).uniform(0, 1000, shape)
     result = matcher.assign(costs_of(grid))
     assert calls == [shape]
-    assert len(result.marks) == min(shape)
+    assert len(result.marks) == min(shape) and one_per_column(result)
 
 
 def integer_grid(kind, shape, seed):

@@ -23,8 +23,8 @@ VALUES = [
     (ReplayCommand(1, "INIT"), ["line", "op", "args", "expect"]),
     (COSTS, ["resources", "workloads", "cost"]),
     (
-        AssignmentMatrix(("R1", "R2"), ("W1",), frozenset({(0, 0)}), COSTS),
-        ["resources", "workloads", "marks", "cost"],
+        AssignmentMatrix(("R1", "R2"), ("W1",), frozenset({(0, 0)})),
+        ["resources", "workloads", "marks"],
     ),
 ]
 
@@ -67,6 +67,16 @@ def test_copies_equal_the_original(value, fields, round_trip):
         (("R1",), ("W1", "W2"), ((-math.inf, 1.0),), "finite"),
         (("R1", "R1"), ("W1",), ((1.0,), (2.0,)), "resources must be in lexicographic"),
         (("R1",), ("W1", "W1"), ((1.0, 2.0),), "workloads must be in lexicographic"),
+        # Every name is a token, so rendered tables and snapshots need no quoting.
+        (("R 1",), ("W1",), ((1.0,),), "^token may not contain whitespace or commas: 'R 1'$"),
+        (("R,1",), ("W1",), ((1.0,),), "^token may not contain whitespace or commas: 'R,1'$"),
+        (("R1",), ("",), ((1.0,),), "^token must be a non-empty string$"),
+        (("R1",), ("W\t1",), ((1.0,),), r"^token may not contain whitespace or commas: 'W\\t1'$"),
+        # The first non-finite cell in row order is named.
+        (
+            ("R1", "R2"), ("W1", "W2"), ((1.0, math.nan), (math.inf, 4.0)),
+            "^predicted cost for pair R1:W2 is not finite \\(nan\\)$",
+        ),
     ],
 )
 def test_cost_matrix_rejects_malformed_input(resources, workloads, cost, message):
@@ -88,8 +98,3 @@ def test_equality_with_another_type_is_not_implemented(value, fields):
 def test_assignment_matrix_rejects_a_mark_out_of_range(mark):
     with pytest.raises(ValueError, match=f"^mark out of range: {re.escape(str(mark))}$"):
         AssignmentMatrix(("R1",), ("W1",), frozenset({mark}))
-
-
-def test_total_cost_needs_a_cost_matrix():
-    with pytest.raises(ValueError, match="^no cost matrix attached$"):
-        AssignmentMatrix(("R1",), ("W1",), frozenset({(0, 0)})).total_cost()
