@@ -1,11 +1,11 @@
 """Fit a workload/resource dataset and inspect the fit.
 
 Walks through the closed-form estimate on a tiny three-point dataset,
-prints the residuals, and checks the result against a brute-force search
-over the coefficient plane.
+prints the residuals, and sets the fitted floats beside the exact
+least-squares line, solved from the normal equations in rationals.
 """
 
-import numpy as np
+from fractions import Fraction
 
 from wrmap.regression import Dataset, fit, goodness_of_fit, predict, residuals, ssr
 
@@ -19,14 +19,15 @@ print("R^2       :", goodness_of_fit(model, data))
 print("residuals :", residuals(model, data))
 print("prediction at w=2 (the mean point):", predict(model, 2.0))
 
-# Sanity check: a coarse brute-force scan of the SSR surface should land
-# next to the closed-form coefficients.
-grid = np.arange(-5, 5, 0.01)
-ws = np.array(data.ws)
-rs = np.array(data.rs)
-surface = sum(
-    (r - grid[None, :] - grid[:, None] * w) ** 2 for w, r in zip(ws, rs)
-)
-slope_idx, intercept_idx = np.unravel_index(np.argmin(surface), surface.shape)
-print("grid-search intercept:", grid[intercept_idx])
-print("grid-search slope    :", grid[slope_idx])
+# Check: every float is a rational, so the normal equations
+#   n*mu0 + sum(w)*mu1 = sum(r),  sum(w)*mu0 + sum(w*w)*mu1 = sum(w*r)
+# solve without rounding; fit's floats carry the rounding of its sums.
+ws = list(map(Fraction, data.ws))
+rs = list(map(Fraction, data.rs))
+n, sw, sr = len(ws), sum(ws), sum(rs)
+sww = sum(w * w for w in ws)
+swr = sum(w * r for w, r in zip(ws, rs))
+slope = (n * swr - sw * sr) / (n * sww - sw * sw)
+intercept = (sr - slope * sw) / n
+print("exact intercept:", intercept, "beside", model.mu0_hat)
+print("exact slope    :", slope, "beside", model.mu1_hat)

@@ -61,6 +61,24 @@ def check_token(value: str) -> str:
     return value
 
 
+class CheckedTuple:
+    """Base of the tuple value types whose one constructor checks them.
+
+    A subclass puts it before its `namedtuple` base, so that `_make`, and so
+    `_replace`, copy and pickle at every protocol, rebuild a value through
+    that constructor too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
 class AllocationState:
     """Immutable allocation: each resource mapped to its workload.
 
@@ -115,6 +133,10 @@ class AllocationState:
 
     def __len__(self) -> int:
         return len(self._base) + len(self._recent)
+
+    def __reduce__(self):
+        # copy and pickle rebuild a state from its pairs, through the checks.
+        return type(self), (self.pairs,)
 
 
 Payload = Union[None, str, tuple[str, ...]]

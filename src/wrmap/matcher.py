@@ -22,7 +22,7 @@ from math import fsum, isfinite
 from operator import lt
 from typing import Mapping, Sequence
 
-from .core import AllocationState, check_token
+from .core import AllocationState, CheckedTuple, check_token
 from .regression import RegressionModel, predict
 
 
@@ -31,28 +31,18 @@ class MatcherError(Exception):
 
 
 class MissingModel(MatcherError):
-    def __init__(self, resource: str, workload: str):
-        super().__init__(f"no fitted model for pair {resource}:{workload}")
-        self.resource = resource
-        self.workload = workload
+    pass
 
 
 class NonFiniteCost(MatcherError, ValueError):
     """A cost that is not finite: a matcher error, and a malformed `CostMatrix`."""
-
-    def __init__(self, resource: str, workload: str, value: float):
-        super().__init__(
-            f"predicted cost for pair {resource}:{workload} is not finite ({value})"
-        )
-        self.resource = resource
-        self.workload = workload
 
 
 class UnknownLabel(MatcherError):
     """An allocated name is absent from the supplied row/column orders."""
 
 
-class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
+class CostMatrix(CheckedTuple, namedtuple("CostMatrix", "resources workloads cost")):
     """Rectangular grid of predicted costs, rows=resources, cols=workloads.
 
     Every name is a token (`core.check_token`), each order is strictly
@@ -81,7 +71,8 @@ class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
                 raise ValueError("cost column count must match workloads")
             if not all(map(isfinite, row)):
                 j = list(map(isfinite, row)).index(False)
-                raise NonFiniteCost(resource, workloads[j], row[j])
+                cell = f"{resource}:{workloads[j]} is not finite ({row[j]})"
+                raise NonFiniteCost(f"predicted cost for pair {cell}")
         return tuple.__new__(cls, (resources, workloads, cost))
 
     def total(self, marks) -> float:
@@ -89,11 +80,14 @@ class CostMatrix(namedtuple("CostMatrix", "resources workloads cost")):
         return fsum(self.cost[i][j] for i, j in marks)
 
 
-class AssignmentMatrix(namedtuple("AssignmentMatrix", "resources workloads marks")):
+class AssignmentMatrix(
+    CheckedTuple, namedtuple("AssignmentMatrix", "resources workloads marks")
+):
     """A drawn allocation: marks (resource-index, workload-index).
 
-    At most one mark per row, as core allows a resource one workload; a
-    column may hold several.
+    No name repeats in either order, and each row holds at most one mark,
+    as core allows a resource one workload; a column may hold several. The
+    orders need not be sorted.
     """
 
     __slots__ = ()
@@ -104,6 +98,9 @@ class AssignmentMatrix(namedtuple("AssignmentMatrix", "resources workloads marks
         workloads: tuple[str, ...],
         marks: frozenset,
     ) -> "AssignmentMatrix":
+        for side, names in (("resources", resources), ("workloads", workloads)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"{side} must not repeat a name")
         rows = [i for i, _ in marks]
         if len(rows) != len(set(rows)):
             raise ValueError("at most one mark per row")
@@ -132,7 +129,7 @@ def build_cost_matrix(
         for w in wls:
             model = models.get((r, w))
             if model is None:
-                raise MissingModel(r, w)
+                raise MissingModel(f"no fitted model for pair {r}:{w}")
             row.append(predict(model, w_query))
         rows.append(tuple(row))
     return CostMatrix(res, wls, tuple(rows))

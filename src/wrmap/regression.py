@@ -16,6 +16,8 @@ from math import frexp, fsum, inf, isfinite, ldexp
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
+from .core import CheckedTuple
+
 
 class RegressionError(Exception):
     pass
@@ -33,14 +35,13 @@ class ConstantResponse(RegressionError):
     """Zero total sum of squares; R-squared is undefined."""
 
 
-class Dataset(namedtuple("Dataset", "ws rs")):
+class Dataset(CheckedTuple, namedtuple("Dataset", "ws rs")):
     """Ordered observations, indexed 1..n for reporting.
 
     Two columns of equal length, `ws` (predictor) and `rs` (response), in
     observation order: observation a is (ws[a-1], rs[a-1]). The one
     constructor, `Dataset(ws, rs)`, converts every value to float and
-    rejects columns of unequal length or holding a non-finite value. copy,
-    pickle and `_replace` rebuild a dataset through it too.
+    rejects columns of unequal length or holding a non-finite value.
     """
 
     __slots__ = ()
@@ -52,13 +53,6 @@ class Dataset(namedtuple("Dataset", "ws rs")):
         if not (all(map(isfinite, ws)) and all(map(isfinite, rs))):
             raise ValueError("observations must be finite")
         return tuple.__new__(cls, (ws, rs))
-
-    def __reduce__(self):
-        return type(self), tuple(self)
-
-    @classmethod
-    def _make(cls, columns: Iterable[tuple[float, ...]]) -> "Dataset":
-        return cls(*columns)
 
     @property
     def n(self) -> int:

@@ -40,23 +40,30 @@ class TraceError(Exception):
 
 
 class ParseError(TraceError):
+    # The arguments go to `args` whole, so copy and pickle rebuild the error.
     def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(line, reason)
         self.line = line
         self.reason = reason
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.reason}"
 
 
 class ExpectationFailed(TraceError):
     def __init__(self, line: int, expected: Report, actual: Report, lines=None):
-        super().__init__(
-            f"expectation failed at line {line}: expected {expected.value}, "
-            f"got {actual.value}"
-        )
+        super().__init__(line, expected, actual, lines)
         self.line = line
         self.expected = expected
         self.actual = actual
         # report lines produced before (and including) the failing command
         self.report_lines = list(lines or [])
+
+    def __str__(self) -> str:
+        return (
+            f"expectation failed at line {self.line}: expected {self.expected.value}, "
+            f"got {self.actual.value}"
+        )
 
 
 class SnapshotError(TraceError):

@@ -357,11 +357,12 @@ def reference_render_assignment(m):
     return "\n".join(lines) + "\n"
 
 
-# Names from empty (narrower than the mark) to wider, ASCII or not.
+# Distinct names from empty (narrower than the mark) to wider, ASCII or not.
 render_names = st.lists(
     st.one_of(st.sampled_from(["", "R", "W1", "wé", "资源", "Cloudworkload3"]),
               st.text(st.characters(blacklist_characters=",\n"), max_size=5)),
     max_size=7,
+    unique=True,
 )
 
 

@@ -111,10 +111,11 @@ def test_build_cost_matrix_overflowing_prediction(at):
         ("R1", "W1"): RegressionModel(0.0, 1.0),
         ("R1", "W2"): RegressionModel(0.0, 10.0),
     }
-    with pytest.raises(matcher.NonFiniteCost, match="pair R1:W2") as info:
+    shown = "inf" if at > 0 else "-inf"
+    message = f"^predicted cost for pair R1:W2 is not finite \\({shown}\\)$"
+    with pytest.raises(matcher.NonFiniteCost, match=message) as info:
         matcher.build_cost_matrix(models, ["R1"], ["W1", "W2"], at)
     assert isinstance(info.value, matcher.MatcherError)
-    assert (info.value.resource, info.value.workload) == ("R1", "W2")
 
 
 @pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")])
@@ -296,6 +297,13 @@ def test_assignment_matrix_invariant():
     assert matcher.matrix_to_state(shared).allocation == {"R1": "W1", "R2": "W1"}
     with pytest.raises(ValueError, match="^at most one mark per row$"):
         AssignmentMatrix(("R1", "R2"), ("W1", "W2"), frozenset({(0, 0), (0, 1)}))
+    # No name repeats in either order, so each row is one resource.
+    for resources, workloads, side in [
+        (("R", "R"), ("W1", "W2"), "resources"),
+        (("R1", "R2"), ("W", "W"), "workloads"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{side} must not repeat a name$"):
+            AssignmentMatrix(resources, workloads, frozenset({(0, 0), (1, 1)}))
 
 
 def test_assign_matches_brute_force_lex_min_tie_heavy():
