@@ -7,15 +7,16 @@ least-squares line, solved from the normal equations in rationals.
 
 from fractions import Fraction
 
-from wrmap.regression import Dataset, fit, goodness_of_fit, predict, residuals, ssr
+from wrmap.regression import Dataset, fit, goodness_of_fit, predict, residuals
 
 data = Dataset([1, 2, 3], [2, 3, 5])
 model = fit(data)
+ssr, r2 = goodness_of_fit(model, data)
 
 print("intercept :", model.mu0_hat)
 print("slope     :", model.mu1_hat)
-print("ssr       :", ssr(model, data))
-print("R^2       :", goodness_of_fit(model, data))
+print("ssr       :", ssr)
+print("R^2       :", r2)
 print("residuals :", residuals(model, data))
 print("prediction at w=2 (the mean point):", predict(model, 2.0))
 

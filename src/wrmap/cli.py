@@ -11,8 +11,8 @@ Every subcommand runs on the standard library alone. `replay` needs only
 `trace_io` and `core`; the commands that fit or match import `regression`
 and `matcher` when they run, and turn their errors into `_DomainError`.
 A regression error names its pair, as in `numeric overflow fitting R1:W1`
-for a line, or in `fit` an SSR, that is not finite; a matcher error keeps
-its message.
+for a line, a residual, or in `fit` an SSR, that is not finite; a matcher
+error keeps its message.
 """
 
 from __future__ import annotations
@@ -128,12 +128,12 @@ def cmd_fit(args) -> int:
     for pair in pairs:
         model, data = models[pair], datasets[pair]
         try:
-            ssr = regression.ssr(model, data)
-            r2 = regression.goodness_of_fit(model, data)
-        except regression.ConstantResponse:
-            r2 = ""
+            ssr, r2 = regression.goodness_of_fit(model, data)
+            if not isfinite(ssr):
+                raise regression.NumericOverflow("the SSR is not finite")
         except regression.NumericOverflow as exc:
             raise _DomainError(f"numeric overflow fitting {pair[0]}:{pair[1]}") from exc
+        r2 = "" if r2 is None else r2
         lines.append(_csv_row(args.precision, *pair, *model, ssr, r2, data.n))
     _emit(_transcript(lines))
     return 0
@@ -146,10 +146,13 @@ def cmd_residuals(args) -> int:
     pair = _known_pair(datasets, args.pair)
     data = datasets[pair]
     model = _fit_all(datasets, [pair])[pair]
+    try:
+        es = regression.residuals(model, data)
+    except regression.NumericOverflow as exc:
+        raise _DomainError(f"numeric overflow fitting {pair[0]}:{pair[1]}") from exc
     lines = ["a,w,r,fitted,residual"]
-    for a, (w, r) in enumerate(zip(data.ws, data.rs), start=1):
-        fitted = regression.predict(model, w)
-        lines.append(_csv_row(args.precision, a, w, r, fitted, r - fitted))
+    for a, (w, r, e) in enumerate(zip(data.ws, data.rs, es), start=1):
+        lines.append(_csv_row(args.precision, a, w, r, regression.predict(model, w), e))
     _emit(_transcript(lines))
     return 0
 

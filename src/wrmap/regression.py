@@ -1,12 +1,13 @@
 """Simple linear regression by ordinary least squares.
 
 Closed-form estimation of intercept and slope for one predictor, plus
-residuals, the sum of squared residuals, and R-squared. Results are the
-same bits on every IEEE 754 platform: each square is `x * x`, correctly
-rounded (a power goes through the C library's `pow`, which need not be),
-and each sum is the correctly rounded `math.fsum`. A column too large or
-too small for these sums is first scaled by a power of two, which is
-exact, by the one rule of `_scaled`.
+residuals, and from one pass of them the sum of squared residuals and
+R-squared. Results are the same bits on every IEEE 754 platform: each
+square is `x * x`, correctly rounded (a power goes through the C
+library's `pow`, which need not be), and each sum is the correctly
+rounded `math.fsum`. A column too large or too small for these sums is
+first scaled by a power of two, which is exact, by the one rule of
+`_scaled`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import frexp, fsum, inf, isfinite, ldexp
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import CheckedTuple
 
@@ -29,10 +30,6 @@ class InsufficientData(RegressionError):
 
 class SingularDesign(RegressionError):
     """All predictor values equal; the slope is undefined."""
-
-
-class ConstantResponse(RegressionError):
-    """Zero total sum of squares; R-squared is undefined."""
 
 
 class Dataset(CheckedTuple, namedtuple("Dataset", "ws rs")):
@@ -147,44 +144,43 @@ def predict(model: RegressionModel, w: float) -> float:
 
 
 def residuals(model: RegressionModel, data: Dataset) -> list[float]:
-    """Observed minus fitted, in dataset order."""
+    """Observed minus fitted, in dataset order.
+
+    Raises NumericOverflow when one is not finite.
+    """
     mu0, mu1 = model.mu0_hat, model.mu1_hat
-    return [r - (mu0 + mu1 * w) for w, r in zip(data.ws, data.rs)]
+    es = [r - (mu0 + mu1 * w) for w, r in zip(data.ws, data.rs)]
+    if not all(map(isfinite, es)):
+        raise NumericOverflow("a residual is not finite")
+    return es
 
 
-def _ssr(model: RegressionModel, data: Dataset, shift: int) -> float:
-    """The sum of the squares of the residuals, each times 2**-shift;
-    NumericOverflow when it is not finite."""
+def _scaled_ssr(es: list[float], shift: int) -> float:
+    """The sum of the squares of es, each times 2**-shift; inf where it
+    leaves the float range."""
     try:
-        value = _sum_of_squares([ldexp(e, -shift) for e in residuals(model, data)])
+        return _sum_of_squares([ldexp(e, -shift) for e in es] if shift else es)
     except OverflowError:  # from ldexp, or from a partial sum in fsum
-        value = inf
-    if not isfinite(value):
-        raise NumericOverflow("the sum of squared residuals is not finite")
-    return value
+        return inf
 
 
-def ssr(model: RegressionModel, data: Dataset) -> float:
-    """Sum of squared residuals of the model on the data.
+def goodness_of_fit(model: RegressionModel, data: Dataset) -> tuple[float, Optional[float]]:
+    """The SSR and R-squared (1 - SSR/SST) of the model on the data, from
+    one pass of `residuals`.
 
-    Raises NumericOverflow when it is not finite.
+    The SSR sums the squares as they are, and is inf where that sum leaves
+    the float range. R-squared sums the response as `_scaled` gives it, and
+    the squares of the residuals times its 2**-E: their ratio is then the
+    unscaled one, and SST is finite. It is None when the response has zero
+    variation (an empty one included). Raises NumericOverflow when a
+    residual, or that scaled SSR, is not finite.
     """
-    return _ssr(model, data, 0)
-
-
-def goodness_of_fit(model: RegressionModel, data: Dataset) -> float:
-    """R-squared: 1 - SSR/SST.
-
-    Both sums run on values scaled by the same power of two: the response
-    as `_scaled` gives it, and the residuals by its 2**-E. Their ratio is
-    then the unscaled one, and SST is finite. Raises NumericOverflow when
-    the scaled SSR is not finite, and otherwise ConstantResponse when the
-    response has zero variation (an empty one included).
-    """
+    es = residuals(model, data)
     rs, _, shift = _scaled(data.rs)
+    ssr = _scaled_ssr(es, 0)
+    scaled = _scaled_ssr(es, shift) if shift else ssr
+    if not isfinite(scaled):
+        raise NumericOverflow("the sum of squared residuals is not finite")
     r_bar = fsum(rs) / max(len(rs), 1)
     sst = _sum_of_squares([r - r_bar for r in rs])
-    ssr_value = _ssr(model, data, shift)
-    if sst == 0.0:
-        raise ConstantResponse("response is constant; R-squared undefined")
-    return 1.0 - ssr_value / sst
+    return ssr, (1.0 - scaled / sst if sst else None)

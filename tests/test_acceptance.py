@@ -96,7 +96,7 @@ def test_criterion_3_ols_oracle_equivalence():
         ):
             failures += 1
             continue
-        base = regression.ssr(model, data)
+        base = regression.goodness_of_fit(model, data)[0]
         deltas = rng.normal(size=(100, 2))
         mu0s = model.mu0_hat + deltas[:, 0]
         mu1s = model.mu1_hat + deltas[:, 1]
@@ -114,7 +114,7 @@ def test_criterion_3_ols_oracle_equivalence():
 
 def test_criterion_4_hand_derived_fit_with_grid_oracle():
     model = regression.fit(THREE_POINTS)
-    ssr = regression.ssr(model, THREE_POINTS)
+    ssr = regression.goodness_of_fit(model, THREE_POINTS)[0]
     ok = abs(model.mu1_hat - 1.5) <= 1e-12 * 1.5
     ok &= abs(model.mu0_hat - 1 / 3) <= 1e-12 * (1 / 3)
     ok &= abs(ssr - 1 / 6) <= 1e-12 * (1 / 6)

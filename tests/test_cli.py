@@ -186,6 +186,12 @@ CASES = {
             "a,w,r,fitted,residual\n1,1,1e+200,6.66667e+199,3.33333e+199\n"
             "2,2,2e+200,2.66667e+200,-6.66667e+199\n3,3,5e+200,4.66667e+200,3.33333e+199\n",
             input=csv("R1,W1,1,1e200\nR1,W1,2,2e200\nR1,W1,3,5e200\n")),
+    # A residual overflows: the line at w = 2 is beyond the float range,
+    # as fit reports for the SSR and allocate --at 2 for the cost.
+    "TestResiduals::test_overflowing_residual":
+        Row(cmd("residuals", "--pair", "R1:W1", input="input"), 1,
+            err="error: numeric overflow fitting R1:W1\n",
+            input=csv("R1,W1,0,0\nR1,W1,1,1.7e308\nR1,W1,2,1.7e308\n")),
     "TestResiduals::test_negative_zero_prints_as_0":
         Row(cmd("residuals", "--pair", "R1:W1", input="input"), 0,
             "a,w,r,fitted,residual\n1,0,0,0,0\n2,1,0,0,0\n3,2,0,0,0\n",
@@ -326,6 +332,25 @@ def test_pair_with_16000_colons(capsys, monkeypatch, tmp_path):
         assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_fit_computes_each_pairs_residuals_once(capsys, monkeypatch, tmp_path):
+    # goodness_of_fit gives the SSR and R-squared columns from one pass of
+    # residuals, so fit --all computes each pair's residuals once.
+    from wrmap import regression, trace_io
+
+    calls = []
+    residuals = regression.residuals
+
+    def counted(model, data):
+        calls.append(data)
+        return residuals(model, data)
+
+    monkeypatch.setattr(regression, "residuals", counted)
+    check(capsys, monkeypatch, tmp_path,
+          CASES["TestFit::test_all_is_lexicographic"])
+    datasets = trace_io.parse_observations(Path(OBSERVATIONS).read_bytes())
+    assert calls == [datasets[pair] for pair in sorted(datasets)]
 
 
 def test_allocate_with_2000_by_2000_names(capsys, monkeypatch, tmp_path):

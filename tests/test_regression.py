@@ -14,12 +14,24 @@ from wrmap.regression import Dataset
 from ols_oracle import THREE_POINTS, exact_fit, random_dataset
 
 
+def ssr_or_inf(model, data):
+    """The SSR that `goodness_of_fit` returns, or inf where it raises
+    NumericOverflow: a residual, or the SSR it sums scaled for R-squared,
+    is then not finite. Every caller passes a line fitted to the data,
+    whose residuals, scaled up with a tiny response, stay near 1; so that
+    SSR overflows only where the unscaled one does."""
+    try:
+        return regression.goodness_of_fit(model, data)[0]
+    except regression.NumericOverflow:
+        return math.inf
+
+
 def test_fit_exact_line():
     data = Dataset([1, 2, 3], [1, 2, 3])
     model = regression.fit(data)
     assert model.mu0_hat == pytest.approx(0.0, abs=1e-12)
     assert model.mu1_hat == pytest.approx(1.0, rel=1e-12)
-    assert regression.ssr(model, data) == pytest.approx(0.0, abs=1e-12)
+    assert ssr_or_inf(model, data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_singular_design():
@@ -32,7 +44,7 @@ def test_fit_offset_predictor_is_not_singular():
     model = regression.fit(shifted)
     assert model.mu1_hat == pytest.approx(1.5, rel=1e-12)
     assert model.mu0_hat == pytest.approx(1 / 3 - 1.5e6, rel=1e-12)
-    assert regression.ssr(model, shifted) == pytest.approx(1 / 6, rel=1e-9)
+    assert ssr_or_inf(model, shifted) == pytest.approx(1 / 6, rel=1e-9)
 
 
 @pytest.mark.parametrize("scale", [2.0**-600, 2.0**-200, 2.0**-40, 2.0**40, 2.0**200,
@@ -56,19 +68,19 @@ def test_fit_singularity_test_is_scale_aware(scale):
 def test_fit_overflow_is_a_regression_error(pairs):
     # fit raises where the exact line is beyond the float range (the second
     # row). Elsewhere the exact SSR is, so fit's line is near exact and
-    # ssr raises.
+    # its SSR is not finite: goodness_of_fit returns it as inf, or raises
+    # where a residual overflows too (the first row).
     data = Dataset(*zip(*pairs))
     slope, intercept, exact_ssr = exact_fit(data)
     if max(abs(slope), abs(intercept)) > sys.float_info.max:
         with pytest.raises(regression.NumericOverflow) as info:
             regression.fit(data)
+        assert isinstance(info.value, regression.RegressionError)
     else:
         assert exact_ssr > sys.float_info.max
         model = regression.fit(data)
         assert_near_exact(data, model, with_ssr=False)
-        with pytest.raises(regression.NumericOverflow) as info:
-            regression.ssr(model, data)
-    assert isinstance(info.value, regression.RegressionError)
+        assert ssr_or_inf(model, data) == math.inf
 
 
 def assert_near_exact(data, model, with_ssr=True):
@@ -100,7 +112,7 @@ def assert_near_exact(data, model, with_ssr=True):
     if not with_ssr:
         return
     # |sqrt(computed) - sqrt(ssr)| <= bound, squared: ssr may exceed any float.
-    root = Fraction(math.sqrt(regression.ssr(model, data)))
+    root = Fraction(math.sqrt(ssr_or_inf(model, data)))
     bound = 2 * Fraction(math.sqrt(n)) * tol * big_r
     assert max(root - bound, 0) ** 2 <= ssr <= (root + bound) ** 2
 
@@ -148,9 +160,9 @@ def test_fit_matches_the_exact_fit_at_any_response_magnitude(seed, c, a, excess,
     # sum((w - w_bar) * (r - r_bar)) near 2**(1024 + excess), and r beyond
     # the exponents fit sums as given. Scaling r by 2**b is exact, so the
     # line scales with it bit for bit, or fit raises where the scaled line
-    # is not finite; the SSR scales by 2**(2b), or ssr raises where that is
-    # not finite (for b above about 560, the noise's and r's own rounding
-    # make it overflow). Where it fits, the line is near exact.
+    # is not finite; the SSR scales by 2**(2b), or is not finite where that
+    # is not (for b above about 560, the noise's and r's own rounding make
+    # it overflow). Where it fits, the line is near exact.
     b = 1016 - a + excess
     assume(b <= 1018)
     base = random_dataset(np.random.default_rng(seed))
@@ -168,13 +180,12 @@ def test_fit_matches_the_exact_fit_at_any_response_magnitude(seed, c, a, excess,
         return
     model = regression.fit(data)
     try:
-        ssr = math.ldexp(regression.ssr(line, unscaled), 2 * b)
+        scaled_ssr = math.ldexp(ssr_or_inf(line, unscaled), 2 * b)
     except OverflowError:
-        with pytest.raises(regression.NumericOverflow):
-            regression.ssr(model, data)
+        assert ssr_or_inf(model, data) == math.inf
         assert_near_exact(data, model, with_ssr=False)
     else:
-        assert regression.ssr(model, data) == ssr
+        assert ssr_or_inf(model, data) == scaled_ssr
         assert_near_exact(data, model)
 
 
@@ -194,8 +205,8 @@ def test_r_squared_at_any_scale(seed, b, a):
     assume(abs(b - a) <= 1000)
     base = random_dataset(np.random.default_rng(seed), min_spread=1e-3)
     data = Dataset((math.ldexp(w, a) for w in base.ws), (math.ldexp(r, b) for r in base.rs))
-    r2 = regression.goodness_of_fit(regression.fit(base), base)
-    assert regression.goodness_of_fit(regression.fit(data), data) == r2
+    r2 = regression.goodness_of_fit(regression.fit(base), base)[1]
+    assert regression.goodness_of_fit(regression.fit(data), data)[1] == r2
 
 
 @given(
@@ -217,7 +228,7 @@ def test_fit_constant_response():
     model = regression.fit(data)
     assert model.mu1_hat == pytest.approx(0.0, abs=1e-12)
     assert model.mu0_hat == pytest.approx(5.0, rel=1e-12)
-    assert regression.ssr(model, data) == pytest.approx(0.0, abs=1e-12)
+    assert ssr_or_inf(model, data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_insufficient_data():
@@ -258,27 +269,26 @@ def test_residuals_single_point_definition():
 
 def test_ssr_three_points():
     model = regression.fit(THREE_POINTS)
-    assert regression.ssr(model, THREE_POINTS) == pytest.approx(1 / 6, rel=1e-12)
+    assert ssr_or_inf(model, THREE_POINTS) == pytest.approx(1 / 6, rel=1e-12)
 
 
 def test_goodness_of_fit():
     perfect = Dataset([1, 2, 3], [1, 2, 3])
-    assert regression.goodness_of_fit(regression.fit(perfect), perfect) == pytest.approx(
+    assert regression.goodness_of_fit(regression.fit(perfect), perfect)[1] == pytest.approx(
         1.0, rel=1e-12
     )
     model = regression.fit(THREE_POINTS)
-    assert regression.goodness_of_fit(model, THREE_POINTS) == pytest.approx(
+    assert regression.goodness_of_fit(model, THREE_POINTS)[1] == pytest.approx(
         27 / 28, rel=1e-12
     )
+    # A constant response has no R-squared, but an SSR.
     flat = Dataset([0, 1, 2], [5, 5, 5])
-    with pytest.raises(regression.ConstantResponse):
-        regression.goodness_of_fit(regression.fit(flat), flat)
-    # A response beyond 2**511, whose SST overflows unscaled, has one too.
+    assert regression.goodness_of_fit(regression.fit(flat), flat) == (0.0, None)
+    # A response beyond 2**511, whose SST overflows unscaled, has an R-squared.
     huge = Dataset([0, 1, 2], [0, 1.2e154, 2.4e154])
-    assert regression.goodness_of_fit(regression.fit(huge), huge) == 1.0
+    assert regression.goodness_of_fit(regression.fit(huge), huge)[1] == 1.0
     # An empty response has no variation either.
-    with pytest.raises(regression.ConstantResponse):
-        regression.goodness_of_fit(model, Dataset([], []))
+    assert regression.goodness_of_fit(model, Dataset([], [])) == (0.0, None)
 
 
 def test_dataset_columns_and_constructors():
@@ -341,8 +351,7 @@ def test_diagnostics_sum_the_observations_in_order():
         sst = math.fsum((r - r_bar) * (r - r_bar) for r in data.rs)
         ssr = math.fsum(e * e for e in res)
         assert regression.residuals(model, data) == res
-        assert regression.ssr(model, data) == ssr
-        assert regression.goodness_of_fit(model, data) == 1.0 - ssr / sst
+        assert regression.goodness_of_fit(model, data) == (ssr, 1.0 - ssr / sst)
 
 
 def test_mean_point_property():
@@ -377,7 +386,7 @@ def test_affine_equivariance():
             math.ldexp(base.mu0_hat, b), math.ldexp(base.mu1_hat, b - a)
         )
         assert repr(pow2) == repr(expected)
-        assert regression.ssr(pow2, scaled) == math.ldexp(regression.ssr(base, unscaled), 2 * b)
+        assert ssr_or_inf(pow2, scaled) == math.ldexp(ssr_or_inf(base, unscaled), 2 * b)
 
 
 def test_non_finite_rejected():
@@ -475,3 +484,74 @@ def test_fit_raises_the_reference_error(pairs, error):
     data = Dataset([w for w, _ in pairs], [r for _, r in pairs])
     assert _fit_outcome(reference_fit, data) is error
     assert _fit_outcome(regression.fit, data) is error
+
+
+def reference_ssr_and_r2(model, data):
+    """`ssr` and `goodness_of_fit` as written before they shared one
+    residual pass: the residuals summed unscaled for the SSR, then computed
+    and summed again, times the response's 2**-E, for R-squared. The oracle
+    that the one-pass `goodness_of_fit` returns the same bits: the SSR, inf
+    where its sum is not finite, and R-squared, None for a zero SST. Raises
+    NumericOverflow where the scaled SSR is not finite."""
+    def scaled_ssr(shift):
+        mu0, mu1 = model.mu0_hat, model.mu1_hat
+        es = [r - (mu0 + mu1 * w) for w, r in zip(data.ws, data.rs)]
+        try:
+            value = math.fsum([e * e for e in [math.ldexp(e, -shift) for e in es]])
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise regression.NumericOverflow("the sum of squared residuals is not finite")
+        return value
+
+    try:
+        ssr = scaled_ssr(0)
+    except regression.NumericOverflow:
+        ssr = math.inf
+    rs, _, shift = regression._scaled(data.rs)
+    r_bar = math.fsum(rs) / max(len(rs), 1)
+    sst = math.fsum([d * d for d in [r - r_bar for r in rs]])
+    ssr_value = scaled_ssr(shift)
+    if sst == 0.0:
+        return ssr, None
+    return ssr, 1.0 - ssr_value / sst
+
+
+@st.composite
+def models_and_data(draw):
+    """A dataset whose response is varied, constant or empty, scaled by
+    2**b beyond either end of the window `_scaled` leaves as given, and a
+    model: its fit, a drawn line at the response's scale, or the `steep`
+    line, whose residuals or their squares overflow."""
+    b = draw(st.sampled_from([0, 600, -600, 1000, -1000]))
+    n = draw(st.integers(1, 12))
+    ws = draw(st.lists(finite, min_size=n, max_size=n))
+    rs = draw(st.one_of(st.lists(finite, min_size=n, max_size=n),
+                        finite.map(lambda r: [r] * n),
+                        st.just(None)))
+    data = Dataset([], []) if rs is None else Dataset(ws, (math.ldexp(r, b) for r in rs))
+    kind = draw(st.sampled_from(["fit", "drawn", "steep"]))
+    if kind == "steep":
+        return regression.RegressionModel(0.0, 1e300), data
+    if kind == "fit":
+        try:
+            return regression.fit(data), data
+        except regression.RegressionError:
+            pass
+    line = (math.ldexp(draw(finite), b) for _ in range(2))
+    return regression.RegressionModel(*line), data
+
+
+def _ssr_and_r2_outcome(goodness_of_fit, model, data):
+    try:
+        return repr(goodness_of_fit(model, data))
+    except regression.NumericOverflow:
+        return regression.NumericOverflow
+
+
+@settings(deadline=None)
+@given(models_and_data())
+def test_goodness_of_fit_matches_the_two_pass_reference_bit_for_bit(model_and_data):
+    model, data = model_and_data
+    assert (_ssr_and_r2_outcome(regression.goodness_of_fit, model, data)
+            == _ssr_and_r2_outcome(reference_ssr_and_r2, model, data))
