@@ -24,6 +24,7 @@ from math import isfinite
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import trace_io
+from .core import check_token
 
 if TYPE_CHECKING:
     from .matcher import AssignmentMatrix
@@ -84,19 +85,14 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _known_pair(datasets, text: str) -> tuple[str, str]:
-    """The observed pair that text spells as `resource:workload`. Names may
-    contain ':', so text may spell several pairs; they are taken in the
-    order of the colon between the two names."""
-    if ":" not in text[1:-1]:
+    """The observed pair that text spells as `resource:workload`. No name
+    holds a ':', so text splits at its first one."""
+    resource, _, workload = text.partition(":")
+    if not resource or not workload:
         raise _UsageError(f"--pair must look like RESOURCE:WORKLOAD, got {text!r}")
-    known = sorted((pair for pair in datasets if f"{pair[0]}:{pair[1]}" == text),
-                   key=lambda pair: len(pair[0]))
-    if len(known) > 1:
-        names = " or ".join(f"{r},{w}" for r, w in known)
-        raise _UsageError(f"--pair {text!r} is ambiguous: it names {names}")
-    if not known:
+    if (resource, workload) not in datasets:
         raise _DomainError(f"unknown pair {text}")
-    return known[0]
+    return resource, workload
 
 
 def _fit_all(datasets, pairs):
@@ -180,6 +176,10 @@ def _parse_names(text: str, flag: str) -> list[str]:
         raise _UsageError(f"{flag} must list at least one name")
     seen = set()
     for name in names:
+        try:
+            check_token(name)
+        except ValueError as exc:
+            raise _UsageError(f"{flag}: {exc}") from exc
         if name in seen:
             raise _UsageError(f"{flag} lists {name} more than once")
         seen.add(name)
@@ -318,9 +318,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if isinstance(exc, _DomainError) else 2
 
 
-def entry() -> None:  # console_scripts target
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -43,21 +43,20 @@ class Report(enum.Enum):
         return self.value
 
 
-# One or more characters, none of them a comma or Unicode whitespace.
-TOKEN = r"[^,\s]+"
+# One or more characters, none of them a separator of some format, so no
+# format needs quoting: `,` (CSV rows, name lists), Unicode whitespace
+# (replay lines), `:` (`--pair`, the `R:W` of an error line) or `#` (a
+# replay comment).
+TOKEN = r"[^,\s:#]+"
 _token_match = re.compile(TOKEN).fullmatch
 
 
 def check_token(value: str) -> str:
-    """Validate a resource/workload identifier against `TOKEN`.
-
-    Tokens must be non-empty and free of whitespace and commas so that the
-    CSV and replay formats never need quoting.
-    """
+    """Validate a resource/workload identifier against `TOKEN`."""
     if not isinstance(value, str) or not value:
         raise ValueError("token must be a non-empty string")
     if _token_match(value) is None:
-        raise ValueError(f"token may not contain whitespace or commas: {value!r}")
+        raise ValueError(f"token may not contain whitespace, ',', ':' or '#': {value!r}")
     return value
 
 

@@ -6,17 +6,18 @@ numbers. Parsing is fail-fast: the first malformed line aborts with its
 line number.
 
 An observations line is `resource,workload,w,r`. A token matches
-`core.TOKEN`, the pattern of `check_token` (non-empty, no whitespace, no
-comma); a number is ASCII decimal with an optional sign, fraction and
-exponent, and must be finite as a float (no `_`, spaces, `nan`/`inf`, hex
-or CR). The parser validates before it builds: one pass of the row
-pattern over every data line, in C, then a Python loop that only splits
-each line at its last two commas and appends both number strings to the
-list of its `resource,workload` key, in first-appearance order. Each pair
-slices its list into the `w` and `r` columns and passes them to
-`Dataset`, whose constructor converts them to floats and rejects a
-non-finite one. When either check fails, `_raise_first_error` rescans
-the lines in order and reports the first bad one, whatever its fault.
+`core.TOKEN`, the pattern of `check_token` (non-empty; no whitespace, `,`,
+`:` or `#`, so every format can write it); a number is ASCII decimal with
+an optional sign, fraction and exponent, and must be finite as a float (no
+`_`, spaces, `nan`/`inf`, hex or CR). The parser validates before it
+builds: one pass of the row pattern over every data line, in C, then a
+Python loop that only splits each line at its last two commas and appends
+both number strings to the list of its `resource,workload` key, in
+first-appearance order. Each pair slices its list into the `w` and `r`
+columns and passes them to `Dataset`, whose constructor converts them to
+floats and rejects a non-finite one. When either check fails,
+`_raise_first_error` rescans the lines in order and reports the first bad
+one, whatever its fault.
 """
 
 from __future__ import annotations
@@ -172,9 +173,10 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
     A command takes exactly its arity's worth of arguments; an `EXPECT
     <REPORT>` clause is recognised only right after them, so an argument
     may itself be spelled `EXPECT`. `str.split()` already yields
-    non-empty tokens free of whitespace, so the arguments are checked
-    against `TOKEN` only on a line whose code holds a comma. A line that
-    holds a CR is an error, so a CRLF script fails at its first line.
+    non-empty tokens free of whitespace, and a `#` starts a comment, so
+    the arguments are checked against `TOKEN` only on a line whose code
+    holds a `,` or a `:`. A line that holds a CR is an error, so a CRLF
+    script fails at its first line.
     """
     commands = []
     for lineno, raw in enumerate(_decode(text).split("\n"), start=1):
@@ -199,7 +201,7 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
                 raise ParseError(lineno, "INIT takes no EXPECT clause")
         elif len(rest) != arity:
             raise ParseError(lineno, f"{op} takes {arity} argument(s), got {len(rest)}")
-        if "," in code:
+        if "," in code or ":" in code:
             _check_tokens(lineno, args)
         commands.append(ReplayCommand(lineno, op, tuple(args), expect))
     return commands

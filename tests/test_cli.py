@@ -80,8 +80,14 @@ REPLAY_INPUT = ["replay", "--script", "input"]
 # 2^900, the SSR 0, but sum((w - w_bar) * (r - r_bar)) and the SST are
 # not finite unscaled.
 HUGE_RESPONSE = "\nR1,W1,".join(f"{k * 2.0**100!r},{k * 2.0**1000!r}" for k in (1, 2, 3))
-# Names are tokens, which may contain ':'; fit --all lists a pair R:1,W1.
-COLON_ROWS = "R:1,W1,1,2\nR:1,W1,2,3\nR:1,W1,3,5\n"
+
+
+def three_points(resource, workload):
+    """The CSV whose rows give THREE_POINTS for the pair."""
+    return csv("".join(f"{resource},{workload},{w},{r}\n" for w, r in [(1, 2), (2, 3), (3, 5)]))
+
+
+NOT_A_TOKEN = "token may not contain whitespace, ',', ':' or '#'"
 # Script lines, numbered from 1, and the transcript they give.
 MIXED = ["# header", "INIT", "ADD R1 W1", "", "ADD R2 W1", "MAP W1",
          "# comment", "FIND R9", "ADD R1 W2", "FIND R1"]
@@ -196,22 +202,21 @@ CASES = {
         Row(cmd("residuals", "--pair", "R1:W1", input="input"), 0,
             "a,w,r,fitted,residual\n1,0,0,0,0\n2,1,0,0,0\n3,2,0,0,0\n",
             input=csv("R1,W1,0,-0\nR1,W1,1,-0\nR1,W1,2,-0\n")),
-    **{f"TestPairContainingColon::test_split_naming_an_observed_pair[{command}]":
-       Row(cmd(command, "--pair", "R:1:W1", input="input"), 0, out, input=csv(COLON_ROWS))
-       for command, out in [("fit", FIT + "R:1,W1," + THREE_POINTS), ("residuals", RESIDUALS)]},
+    # No name holds a ':', so --pair splits at its first one.
     **{f"TestPairContainingColon::test_no_split_into_two_names[{text}-{command}]":
-       Row(cmd(command, "--pair", text, input="input"), 2, input=csv(COLON_ROWS),
+       Row(cmd(command, "--pair", text, input="input"), 2, input=three_points("R1", "W1"),
            err=f"error: --pair must look like RESOURCE:WORKLOAD, got {text!r}\n")
        for text in ["R1W1", "R1:", ":W1", ":"] for command in ["fit", "residuals"]},
-    **{f"TestPairContainingColon::test_two_splits_naming_observed_pairs[{command}]":
-       Row(cmd(command, "--pair", "R:1:W1", input="input"), 2,
-           err="error: --pair 'R:1:W1' is ambiguous: it names R,1:W1 or R:1,W1\n",
-           input=csv(COLON_ROWS + COLON_ROWS.replace("R:1,", "R,1:")))
-       for command in ["fit", "residuals"]},
     **{f"TestPairContainingColon::test_no_split_naming_an_observed_pair[{text}-{command}]":
        Row(cmd(command, "--pair", text, input="input"), 1, err=f"error: unknown pair {text}\n",
-           input=csv(COLON_ROWS))
+           input=three_points("R1", "W1"))
        for text in ["R:9:W1", "R:1:W9", "R::W1"] for command in ["fit", "residuals"]},
+    # The rows of a pair R:1,W1 or R1,W#1 fail at their first line.
+    **{f"TestPairContainingColon::test_name_outside_the_token_rule[{name}-{command}]":
+       Row(cmd(command, "--pair", "R1:W1", input="input"), 2,
+           err=f"error: line 2: {NOT_A_TOKEN}: {name!r}\n", input=three_points(*pair))
+       for name, pair in [("R:1", ("R:1", "W1")), ("W#1", ("R1", "W#1"))]
+       for command in ["fit", "residuals"]},
     "TestAllocate::test_reference_table":
         Row(cmd("allocate", "--at", "0.5", *SEVEN, input=REFERENCE7), 0, TABLE7),
     "TestAllocate::test_single_cell":
@@ -241,6 +246,12 @@ CASES = {
            err=f"error: --{flag} lists {name} more than once\n")
        for flag, resources, workloads, name in [("resources", "R1,R2,R1", "W1", "R1"),
                                                 ("workloads", "R1", "W1,W1", "W1")]},
+    **{f"TestAllocate::test_name_outside_the_token_rule[{flag}-{name}]":
+       Row(cmd("allocate", "--at", "1", "--resources", resources, "--workloads", workloads,
+               input=REFERENCE7), 2, err=f"error: --{flag}: {NOT_A_TOKEN}: {name!r}\n")
+       for flag, resources, workloads, name in [("resources", "R1,R:1", "W1", "R:1"),
+                                                ("resources", "R 1", "W1", "R 1"),
+                                                ("workloads", "R1", "W1,W#1", "W#1")]},
     "TestAllocate::test_empty_name_list":
         Row(cmd("allocate", "--at", "1", "--resources", ",", "--workloads", "W1"), 2,
             err="error: --resources must list at least one name\n"),
@@ -279,6 +290,9 @@ CASES = {
         Row(REPLAY_INPUT, 0, input="# nothing to run\n\n   \n# still nothing\n"),
     **{f"TestReplay::test_expectation_failure_stops_at_its_line[{k}]": stop_at(k)
        for k in [3, 6, 8, 9, 10]},
+    "TestReplay::test_name_outside_the_token_rule":
+        Row(REPLAY_INPUT, 2, err=f"error: line 2: {NOT_A_TOKEN}: 'R:1'\n",
+            input="INIT\nADD R:1 W1\n"),
     "TestReplay::test_parse_error":
         Row(REPLAY_INPUT, 2, err="error: line 2: unknown command 'DROP'\n",
             input="INIT\nDROP Res1\n"),
@@ -332,6 +346,36 @@ def test_pair_with_16000_colons(capsys, monkeypatch, tmp_path):
         assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
     finally:
         tracemalloc.stop()
+
+
+# Names in the token rule's alphabet: no whitespace, ',', ':' or '#'.
+rule_names = st.text(
+    st.characters(codec="utf-8", exclude_characters=",:#").filter(lambda c: not c.isspace()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(resource=rule_names, workload=rule_names)
+def test_a_name_in_the_token_rule_passes_every_format(capsys, monkeypatch, tmp_path,
+                                                       resource, workload):
+    # Each format writes the names back as it read them: a CSV row, the
+    # --pair that names it, a replay script and its snapshot.
+    from wrmap import trace_io
+    from wrmap.core import AllocationState
+
+    (tmp_path / "state.json").unlink(missing_ok=True)
+    check(capsys, monkeypatch, tmp_path,
+          Row(cmd("fit", "--pair", f"{resource}:{workload}", input="input"), 0,
+              f"{FIT}{resource},{workload},{THREE_POINTS}", input=three_points(resource, workload)))
+    state = AllocationState([(resource, workload)])
+    check(capsys, monkeypatch, tmp_path,
+          Row(REPLAY_INPUT + ["--snapshot-out", "state.json"], 0,
+              f"1 OK\n2 OK {workload}\n3 OK {resource}\n",
+              input=f"ADD {resource} {workload}\nFIND {resource}\nMAP {workload}\n",
+              snapshot=trace_io.write_state(state).encode()))
+    assert trace_io.read_state((tmp_path / "state.json").read_bytes()) == state
 
 
 def test_fit_computes_each_pairs_residuals_once(capsys, monkeypatch, tmp_path):

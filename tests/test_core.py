@@ -101,7 +101,9 @@ def test_available_matches_domain():
     assert core.available(state) == frozenset(state.allocation.keys())
 
 
-@pytest.mark.parametrize("bad", ["", "has space", "has,comma", "tab\tchar", "nl\n"])
+@pytest.mark.parametrize(
+    "bad", ["", "has space", "has,comma", "tab\tchar", "nl\n", "has:colon", "has#hash"]
+)
 def test_token_rules(bad):
     with pytest.raises(ValueError):
         core.add(core.init(), bad, "W")

@@ -101,7 +101,7 @@ def test_build_cost_matrix_repeated_name():
 def test_build_cost_matrix_non_token_name():
     # A model for every pair, so only CostMatrix's token check can reject it.
     model = RegressionModel(1.0, 0.0)
-    with pytest.raises(ValueError, match="^token may not contain whitespace or commas: 'R 1'$"):
+    with pytest.raises(ValueError, match="^token may not contain whitespace, ',', ':' or '#': 'R 1'$"):
         matcher.build_cost_matrix({("R 1", "W1"): model}, ["R 1"], ["W1"], 0.0)
 
 

@@ -137,13 +137,14 @@ class TestParseObservations:
     def test_token_class_agrees_with_check_token(self):
         # Both check_token and the row pattern must accept a one-character
         # token exactly when the spec does: unless it is whitespace
-        # (str.isspace) or a comma, on every code point. parse_replay
-        # checks tokens only on lines with a comma, which is sound because
-        # str.split() splits at exactly the whitespace that TOKEN excludes.
+        # (str.isspace), ',', ':' or '#', on every code point. parse_replay
+        # checks tokens only on lines with a ',' or a ':', which is sound
+        # because str.split() splits at exactly the whitespace that TOKEN
+        # excludes and a '#' starts a comment.
         disagree = []
         for code in range(sys.maxunicode + 1):
             ch = chr(code)
-            spec = not (ch.isspace() or ch == ",")
+            spec = not (ch.isspace() or ch in ",:#")
             if len(f"a{ch}b".split()) != (2 if ch.isspace() else 1):
                 disagree.append(hex(code))
             try:
@@ -230,13 +231,16 @@ class TestParseReplay:
             # No clause follows the two arguments, so all three tokens count.
             ("ADD Res1 EXPECT OK", "ADD takes 2 argument(s), got 3"),
             ("MAP W1 EXPECT", "MAP takes 1 argument(s), got 2"),
-            ("ADD R,1 W1", "token may not contain whitespace or commas: 'R,1'"),
-            ("ADD R1 W,1", "token may not contain whitespace or commas: 'W,1'"),
-            ("FIND , EXPECT OK", "token may not contain whitespace or commas: ','"),
+            ("ADD R,1 W1", "token may not contain whitespace, ',', ':' or '#': 'R,1'"),
+            ("ADD R1 W,1", "token may not contain whitespace, ',', ':' or '#': 'W,1'"),
+            ("FIND , EXPECT OK", "token may not contain whitespace, ',', ':' or '#': ','"),
+            ("ADD R:1 W1", "token may not contain whitespace, ',', ':' or '#': 'R:1'"),
+            ("MAP : EXPECT OK", "token may not contain whitespace, ',', ':' or '#': ':'"),
             # A comma outside the arguments fails the check named first.
             ("AD,D R1 W1", "unknown command 'AD,D'"),
             ("FIND R1 EXPECT O,K", "unknown report 'O,K'"),
             ("ADD R1 W1 W,2", "ADD takes 2 argument(s), got 3"),
+            ("FIND R1 EXPECT O:K", "unknown report 'O:K'"),
             # A CR, which a CRLF line ending leaves and str.split() takes for a space.
             ("ADD R1 W1\r", "carriage return: lines end with LF alone"),
         ],
@@ -360,6 +364,9 @@ class TestSnapshots:
             '{"allocation":[]}',
             '{"allocation":{}, "extra":1}',
             '{"allocation":{"bad token":"W"}}',
+            # A name no replay line can write.
+            '{"allocation":{"R#1":"W1"}}',
+            '{"allocation":{"R1":"W:1"}}',
             '{"allocation":{"R":1}}',
             # json.loads alone keeps the last of a repeated key.
             '{"allocation":{"R1":"W1","R1":"W2"}}',
@@ -446,7 +453,7 @@ def _outcome(parse, text):
 csv_tokens = st.one_of(
     st.sampled_from(["R1", "R2", "W1", "wé", "资源"]),
     st.text(
-        st.characters(blacklist_characters=",").filter(lambda c: not c.isspace()),
+        st.characters(blacklist_characters=",:#").filter(lambda c: not c.isspace()),
         min_size=1,
         max_size=4,
     ),
@@ -477,7 +484,7 @@ bad_numbers = st.sampled_from(
     ["", "abc", "1.2.3", "--1", "e5", ".", "-", "1e", "0x10", "nan", "-inf",
      "Infinity", "1e999", "-1e400"]
 )
-bad_tokens = st.sampled_from(["", "R 1", "\tW", "W\u3000", "R\x1c", "\u2028"])
+bad_tokens = st.sampled_from(["", "R 1", "\tW", "W\u3000", "R\x1c", "\u2028", "R:1", "#"])
 bad_lines = st.one_of(
     st.just(""),
     st.lists(st.one_of(csv_tokens, csv_numbers), min_size=1, max_size=6)
