@@ -361,13 +361,14 @@ rule_names = st.text(
 def test_a_name_in_the_token_rule_passes_every_format(capsys, monkeypatch, tmp_path,
                                                        resource, workload):
     # Each format writes the names back as it read them: a CSV row, the
-    # --pair that names it, a replay script and its snapshot.
+    # --pair that names it, a replay script and its snapshot. --pair takes
+    # its value after '=', as a name may begin with '-'.
     from wrmap import trace_io
     from wrmap.core import AllocationState
 
     (tmp_path / "state.json").unlink(missing_ok=True)
     check(capsys, monkeypatch, tmp_path,
-          Row(cmd("fit", "--pair", f"{resource}:{workload}", input="input"), 0,
+          Row(cmd("fit", f"--pair={resource}:{workload}", input="input"), 0,
               f"{FIT}{resource},{workload},{THREE_POINTS}", input=three_points(resource, workload)))
     state = AllocationState([(resource, workload)])
     check(capsys, monkeypatch, tmp_path,

@@ -172,6 +172,15 @@ class TestParseObservations:
         assert datasets[("R1", "W1")].rs == (2.0, 3.5)
 
 
+def not_a_token(line, token):
+    """A test_error_reasons row whose argument `token` breaks the token rule."""
+    return pytest.param(
+        line,
+        f"token may not contain whitespace, ',', ':' or '#': {token!r}",
+        id=f"{line}-token may not contain whitespace or a separator",
+    )
+
+
 class TestParseReplay:
     def test_full_grammar(self):
         text = (
@@ -231,11 +240,11 @@ class TestParseReplay:
             # No clause follows the two arguments, so all three tokens count.
             ("ADD Res1 EXPECT OK", "ADD takes 2 argument(s), got 3"),
             ("MAP W1 EXPECT", "MAP takes 1 argument(s), got 2"),
-            ("ADD R,1 W1", "token may not contain whitespace, ',', ':' or '#': 'R,1'"),
-            ("ADD R1 W,1", "token may not contain whitespace, ',', ':' or '#': 'W,1'"),
-            ("FIND , EXPECT OK", "token may not contain whitespace, ',', ':' or '#': ','"),
-            ("ADD R:1 W1", "token may not contain whitespace, ',', ':' or '#': 'R:1'"),
-            ("MAP : EXPECT OK", "token may not contain whitespace, ',', ':' or '#': ':'"),
+            not_a_token("ADD R,1 W1", "R,1"),
+            not_a_token("ADD R1 W,1", "W,1"),
+            not_a_token("FIND , EXPECT OK", ","),
+            not_a_token("ADD R:1 W1", "R:1"),
+            not_a_token("MAP : EXPECT OK", ":"),
             # A comma outside the arguments fails the check named first.
             ("AD,D R1 W1", "unknown command 'AD,D'"),
             ("FIND R1 EXPECT O,K", "unknown report 'O,K'"),
