@@ -86,10 +86,14 @@ def _write_file(path: str, text: str) -> None:
 
 def _known_pair(datasets, text: str) -> tuple[str, str]:
     """The observed pair that text spells as `resource:workload`. No name
-    holds a ':', so text splits at its first one."""
+    holds a ':', so text splits at its first one. A side that is empty or
+    that `check_token` rejects is a usage error (exit 2); a pair of names
+    that was never observed is `unknown pair` (exit 1)."""
     resource, _, workload = text.partition(":")
     if not resource or not workload:
         raise _UsageError(f"--pair must look like RESOURCE:WORKLOAD, got {text!r}")
+    _check_name("--pair", resource)
+    _check_name("--pair", workload)
     if (resource, workload) not in datasets:
         raise _DomainError(f"unknown pair {text}")
     return resource, workload
@@ -170,16 +174,21 @@ def render_assignment(m: AssignmentMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_name(flag: str, name: str) -> None:
+    """A usage error `<flag>: <reason>` for a name that breaks the token rule."""
+    try:
+        check_token(name)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}") from exc
+
+
 def _parse_names(text: str, flag: str) -> list[str]:
     names = [t for t in text.split(",") if t]
     if not names:
         raise _UsageError(f"{flag} must list at least one name")
     seen = set()
     for name in names:
-        try:
-            check_token(name)
-        except ValueError as exc:
-            raise _UsageError(f"{flag}: {exc}") from exc
+        _check_name(flag, name)
         if name in seen:
             raise _UsageError(f"{flag} lists {name} more than once")
         seen.add(name)
@@ -194,7 +203,7 @@ def _demand(text: str) -> float:
         value = None
     if value is not None and not isfinite(value):
         raise _UsageError(f"--at must be a finite number, got {value}")
-    if value is None or re.fullmatch(trace_io._NUMBER, text) is None:
+    if value is None or re.fullmatch(trace_io.NUMBER, text) is None:
         raise _UsageError(f"argument --at: invalid float value: {text!r}")
     return value
 

@@ -8,8 +8,10 @@ returns the input state unchanged, so callers can check "error preserves
 state" by plain structural equality. An outcome is a named tuple
 (state, report, payload), so callers may unpack it.
 
-Resource and workload names are tokens, defined once by `TOKEN`: both
-`check_token` and the observations row pattern in `trace_io` match it.
+Resource and workload names are tokens, defined once by `TOKEN` from
+`SEPARATORS`: both `check_token` and the observations row pattern in
+`trace_io` match it, and the replay parser and the CLI check names with
+`check_token`.
 
 Cost model: a state is a `__slots__` object holding its resource ->
 workload mapping in two dicts with disjoint keys, a `_base` that states
@@ -43,12 +45,16 @@ class Report(enum.Enum):
         return self.value
 
 
-# One or more characters, none of them a separator of some format, so no
-# format needs quoting: `,` (CSV rows, name lists), Unicode whitespace
-# (replay lines), `:` (`--pair`, the `R:W` of an error line) or `#` (a
-# replay comment).
-TOKEN = r"[^,\s:#]+"
+# A name is one or more characters, none of them Unicode whitespace (the
+# separator of replay lines) or one of `SEPARATORS`: `,` (CSV rows, name
+# lists), `:` (`--pair`, the `R:W` of an error line) and `#` (a replay
+# comment). So no format needs quoting, and every format asks this module
+# which characters a name may hold.
+SEPARATORS = ",:#"
+TOKEN = rf"[^\s{re.escape(SEPARATORS)}]+"
 _token_match = re.compile(TOKEN).fullmatch
+_NOT_A_TOKEN = (f"token may not contain whitespace, {', '.join(map(repr, SEPARATORS[:-1]))}"
+                f" or {SEPARATORS[-1]!r}")
 
 
 def check_token(value: str) -> str:
@@ -56,7 +62,7 @@ def check_token(value: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError("token must be a non-empty string")
     if _token_match(value) is None:
-        raise ValueError(f"token may not contain whitespace, ',', ':' or '#': {value!r}")
+        raise ValueError(f"{_NOT_A_TOKEN}: {value!r}")
     return value
 
 

@@ -6,18 +6,18 @@ numbers. Parsing is fail-fast: the first malformed line aborts with its
 line number.
 
 An observations line is `resource,workload,w,r`. A token matches
-`core.TOKEN`, the pattern of `check_token` (non-empty; no whitespace, `,`,
-`:` or `#`, so every format can write it); a number is ASCII decimal with
-an optional sign, fraction and exponent, and must be finite as a float (no
-`_`, spaces, `nan`/`inf`, hex or CR). The parser validates before it
-builds: one pass of the row pattern over every data line, in C, then a
-Python loop that only splits each line at its last two commas and appends
-both number strings to the list of its `resource,workload` key, in
-first-appearance order. Each pair slices its list into the `w` and `r`
-columns and passes them to `Dataset`, whose constructor converts them to
-floats and rejects a non-finite one. When either check fails,
-`_raise_first_error` rescans the lines in order and reports the first bad
-one, whatever its fault.
+`core.TOKEN`, the pattern of `check_token` (non-empty; no whitespace and
+none of `core.SEPARATORS`, so every format can write it); a number is
+ASCII decimal with an optional sign, fraction and exponent, and must be
+finite as a float (no `_`, spaces, `nan`/`inf`, hex or CR). The parser
+validates before it builds: one pass of the row pattern over every data
+line, in C, then a Python loop that only splits each line at its last two
+commas and appends both number strings to the list of its
+`resource,workload` key, in first-appearance order. Each pair slices its
+list into the `w` and `r` columns and passes them to `Dataset`, whose
+constructor converts them to floats and rejects a non-finite one. When
+either check fails, `_raise_first_error` rescans the lines in order and
+reports the first bad one, whatever its fault.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import isfinite
 from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Optional, Union
 
 from . import core
-from .core import TOKEN, AllocationState, OpOutcome, Report, check_token
+from .core import SEPARATORS, TOKEN, AllocationState, OpOutcome, Report, check_token
 
 if TYPE_CHECKING:
     from .regression import Dataset
@@ -93,8 +93,8 @@ def _check_tokens(line: int, tokens: Iterable[str]) -> None:
 # fraction (or a bare fraction), optional exponent. Each repetition is
 # followed only by characters it cannot match, so a failed match
 # backtracks in linear time. The CLI parses `allocate --at` with it too.
-_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_ROW = re.compile(rf"{TOKEN},{TOKEN},{_NUMBER},{_NUMBER}")
+NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_ROW = re.compile(rf"{TOKEN},{TOKEN},{NUMBER},{NUMBER}")
 
 
 def _raise_first_error(rows: list[str]) -> NoReturn:
@@ -167,22 +167,32 @@ class ReplayCommand(NamedTuple):
 _ARITY = {"INIT": 0, "ADD": 2, "FIND": 1, "MAP": 1}
 
 
-def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
-    """Parse a replay script: one command per line, `#` starts a comment.
+# A comment starts at a `#` that begins a word: at the start of a line or
+# after whitespace.
+_COMMENT = re.compile(r"(?<!\S)#")
+# Whether a text holds a character that no name may hold, besides the
+# whitespace at which `str.split()` cuts words.
+_has_separator = re.compile(f"[{re.escape(SEPARATORS)}]").search
 
-    A command takes exactly its arity's worth of arguments; an `EXPECT
-    <REPORT>` clause is recognised only right after them, so an argument
-    may itself be spelled `EXPECT`. `str.split()` already yields
-    non-empty tokens free of whitespace, and a `#` starts a comment, so
-    the arguments are checked against `TOKEN` only on a line whose code
-    holds a `,` or a `:`. A line that holds a CR is an error, so a CRLF
+
+def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
+    """Parse a replay script: one command per line.
+
+    A `#` that begins a word starts a comment, which runs to the end of
+    the line; a `#` inside a word belongs to it, so `FIND R#1` fails the
+    token rule. A command takes exactly its arity's worth of arguments; an
+    `EXPECT <REPORT>` clause is recognised only right after them, so an
+    argument may itself be spelled `EXPECT`. `str.split()` already yields
+    non-empty words free of whitespace, so the arguments are checked with
+    `check_token` only on a line whose code holds one of
+    `core.SEPARATORS`. A line that holds a CR is an error, so a CRLF
     script fails at its first line.
     """
     commands = []
     for lineno, raw in enumerate(_decode(text).split("\n"), start=1):
         if "\r" in raw:
             raise ParseError(lineno, "carriage return: lines end with LF alone")
-        code = raw.split("#", 1)[0]
+        code = _COMMENT.split(raw, 1)[0] if "#" in raw else raw
         tokens = code.split()
         if not tokens:
             continue
@@ -201,7 +211,7 @@ def parse_replay(text: Union[str, bytes]) -> list[ReplayCommand]:
                 raise ParseError(lineno, "INIT takes no EXPECT clause")
         elif len(rest) != arity:
             raise ParseError(lineno, f"{op} takes {arity} argument(s), got {len(rest)}")
-        if "," in code or ":" in code:
+        if _has_separator(code):
             _check_tokens(lineno, args)
         commands.append(ReplayCommand(lineno, op, tuple(args), expect))
     return commands

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wrmap.cli import MARK, main, render_assignment
+from wrmap.core import SEPARATORS
 from wrmap.matcher import AssignmentMatrix
 
 DATA = Path(__file__).parent / "data"
@@ -207,10 +208,18 @@ CASES = {
        Row(cmd(command, "--pair", text, input="input"), 2, input=three_points("R1", "W1"),
            err=f"error: --pair must look like RESOURCE:WORKLOAD, got {text!r}\n")
        for text in ["R1W1", "R1:", ":W1", ":"] for command in ["fit", "residuals"]},
+    # Each side of --pair is checked as a name: past the first colon, the
+    # workload holds one.
     **{f"TestPairContainingColon::test_no_split_naming_an_observed_pair[{text}-{command}]":
-       Row(cmd(command, "--pair", text, input="input"), 1, err=f"error: unknown pair {text}\n",
+       Row(cmd(command, "--pair", text, input="input"), 2,
+           err=f"error: --pair: {NOT_A_TOKEN}: {text.partition(':')[2]!r}\n",
            input=three_points("R1", "W1"))
        for text in ["R:9:W1", "R:1:W9", "R::W1"] for command in ["fit", "residuals"]},
+    **{f"TestPairContainingColon::test_side_outside_the_token_rule[{text}-{command}]":
+       Row(cmd(command, "--pair", text, input="input"), 2,
+           err=f"error: --pair: {NOT_A_TOKEN}: {name!r}\n", input=three_points("R1", "W1"))
+       for text, name in [("R 1:W1", "R 1"), ("R#1:W1", "R#1")]
+       for command in ["fit", "residuals"]},
     # The rows of a pair R:1,W1 or R1,W#1 fail at their first line.
     **{f"TestPairContainingColon::test_name_outside_the_token_rule[{name}-{command}]":
        Row(cmd(command, "--pair", "R1:W1", input="input"), 2,
@@ -293,6 +302,13 @@ CASES = {
     "TestReplay::test_name_outside_the_token_rule":
         Row(REPLAY_INPUT, 2, err=f"error: line 2: {NOT_A_TOKEN}: 'R:1'\n",
             input="INIT\nADD R:1 W1\n"),
+    # A '#' inside a word is part of the name, which the rule then rejects;
+    # it does not start a comment that would drop the EXPECT clause.
+    "TestReplay::test_hash_inside_a_name":
+        Row(REPLAY_INPUT, 2, err=f"error: line 3: {NOT_A_TOKEN}: 'R#1'\n",
+            input="INIT\nADD R W1\nFIND R#1 EXPECT NotMapped\n"),
+    "TestReplay::test_comment_after_a_tab":
+        Row(REPLAY_INPUT, 0, "1 OK\n", input="ADD R W1\t# note\n"),
     "TestReplay::test_parse_error":
         Row(REPLAY_INPUT, 2, err="error: line 2: unknown command 'DROP'\n",
             input="INIT\nDROP Res1\n"),
@@ -337,20 +353,22 @@ _define_table_tests()
 
 def test_pair_with_16000_colons(capsys, monkeypatch, tmp_path):
     # Memory stays linear in the text: its 16,000 splits at a colon, if
-    # built, would hold about 250 MB.
+    # built, would hold about 250 MB. The workload, past the first colon,
+    # breaks the token rule.
     text = "R" + ":" * 16_000 + "W"
     tracemalloc.start()
     try:
         check(capsys, monkeypatch, tmp_path,
-              Row(cmd("fit", "--pair", text), 1, err=f"error: unknown pair {text}\n"))
+              Row(cmd("fit", "--pair", text), 2,
+                  err=f"error: --pair: {NOT_A_TOKEN}: {text[2:]!r}\n"))
         assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
     finally:
         tracemalloc.stop()
 
 
-# Names in the token rule's alphabet: no whitespace, ',', ':' or '#'.
+# Names in the token rule's alphabet: no whitespace and no separator.
 rule_names = st.text(
-    st.characters(codec="utf-8", exclude_characters=",:#").filter(lambda c: not c.isspace()),
+    st.characters(codec="utf-8", exclude_characters=SEPARATORS).filter(lambda c: not c.isspace()),
     min_size=1,
     max_size=6,
 )

@@ -1,10 +1,11 @@
+import itertools
 import random
 import sys
 import time
 from math import isfinite
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wrmap import core, trace_io
 from wrmap.core import AllocationState, check_token
@@ -137,14 +138,14 @@ class TestParseObservations:
     def test_token_class_agrees_with_check_token(self):
         # Both check_token and the row pattern must accept a one-character
         # token exactly when the spec does: unless it is whitespace
-        # (str.isspace), ',', ':' or '#', on every code point. parse_replay
-        # checks tokens only on lines with a ',' or a ':', which is sound
-        # because str.split() splits at exactly the whitespace that TOKEN
-        # excludes and a '#' starts a comment.
+        # (str.isspace) or one of core.SEPARATORS, on every code point.
+        # parse_replay checks tokens only on lines that hold a separator,
+        # which is sound because str.split() splits at exactly the
+        # whitespace that TOKEN excludes.
         disagree = []
         for code in range(sys.maxunicode + 1):
             ch = chr(code)
-            spec = not (ch.isspace() or ch in ",:#")
+            spec = not (ch.isspace() or ch in core.SEPARATORS)
             if len(f"a{ch}b".split()) != (2 if ch.isspace() else 1):
                 disagree.append(hex(code))
             try:
@@ -245,11 +246,15 @@ class TestParseReplay:
             not_a_token("FIND , EXPECT OK", ","),
             not_a_token("ADD R:1 W1", "R:1"),
             not_a_token("MAP : EXPECT OK", ":"),
+            # A '#' inside a word is part of it, not the start of a comment.
+            not_a_token("FIND R#1 EXPECT OK", "R#1"),
             # A comma outside the arguments fails the check named first.
             ("AD,D R1 W1", "unknown command 'AD,D'"),
             ("FIND R1 EXPECT O,K", "unknown report 'O,K'"),
             ("ADD R1 W1 W,2", "ADD takes 2 argument(s), got 3"),
             ("FIND R1 EXPECT O:K", "unknown report 'O:K'"),
+            ("MAP W1 EXPECT O#K", "unknown report 'O#K'"),
+            ("AD#D R1 W1", "unknown command 'AD#D'"),
             # A CR, which a CRLF line ending leaves and str.split() takes for a space.
             ("ADD R1 W1\r", "carriage return: lines end with LF alone"),
         ],
@@ -258,6 +263,71 @@ class TestParseReplay:
         with pytest.raises(trace_io.ParseError) as err:
             trace_io.parse_replay(f"INIT\n{line} # comment\n")
         assert (err.value.line, err.value.reason) == (2, reason)
+
+
+# The words of a replay line: names, words that hold a separator at any
+# position (a leading '#' starts a comment), the clause keyword and the
+# report names.
+REPORTS = [report.value for report in core.Report]
+name_chars = st.characters(blacklist_characters=core.SEPARATORS).filter(lambda c: not c.isspace())
+replay_words = st.one_of(
+    st.text(name_chars, min_size=1, max_size=3),
+    st.builds(lambda name, sep, at: name[:at] + sep + name[at:],
+              st.text(name_chars, min_size=1, max_size=3), st.sampled_from(core.SEPARATORS),
+              st.integers(0, 3)),
+    st.sampled_from(["EXPECT", *REPORTS]),
+)
+REPLAY_ARITY = {"INIT": 0, "ADD": 2, "FIND": 1, "MAP": 1}
+
+
+@st.composite
+def replay_lines(draw):
+    """A line's words, and the line: each word followed by whitespace,
+    then maybe a comment. Most lines give their command its arity's worth
+    of arguments, and half of them a clause."""
+    op = draw(st.sampled_from([*REPLAY_ARITY, "#INIT", "AD#D"]))
+    count = REPLAY_ARITY.get(op, 1) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    words = [op, *(draw(replay_words) for _ in range(max(count, 0)))]
+    if draw(st.booleans()):
+        words += ["EXPECT", draw(st.one_of(st.sampled_from(REPORTS), replay_words))]
+    line = "".join(word + draw(st.sampled_from([" ", "\t", "  ", "\u3000"])) for word in words)
+    if draw(st.booleans()):
+        line += "#" + draw(st.text(st.characters(blacklist_characters="\n\r"), max_size=4))
+    return words, line
+
+
+@settings(max_examples=600)
+@given(replay_lines())
+def test_replay_line_keeps_its_words_or_fails(case):
+    # The comment starts at the first word that begins with '#'. The line
+    # parses exactly when the words before it are a command, its arguments,
+    # each a name (no whitespace, no separator), and at most an
+    # `EXPECT <REPORT>` clause; then the command holds just those words.
+    words, line = case
+    code = list(itertools.takewhile(lambda word: not word.startswith("#"), words))
+    op, *rest = code or [None]
+    arity = REPLAY_ARITY.get(op, 0)
+    args, clause = tuple(rest[:arity]), rest[arity:]
+    has_clause = len(clause) == 2 and clause[0] == "EXPECT" and clause[1] in REPORTS
+    well_formed = (
+        op in REPLAY_ARITY
+        and len(args) == arity
+        and (clause == [] or has_clause and op != "INIT")
+        and not any(c.isspace() or c in core.SEPARATORS for arg in args for c in arg)
+    )
+    try:
+        commands = trace_io.parse_replay(line)
+    except trace_io.ParseError:
+        assert code and not well_formed
+        return
+    if not code:
+        assert commands == []
+        return
+    assert well_formed
+    for arg in args:
+        check_token(arg)
+    expect = core.Report(clause[1]) if has_clause else None
+    assert commands == [trace_io.ReplayCommand(1, op, args, expect)]
 
 
 class TestRunReplay:
@@ -462,7 +532,7 @@ def _outcome(parse, text):
 csv_tokens = st.one_of(
     st.sampled_from(["R1", "R2", "W1", "wé", "资源"]),
     st.text(
-        st.characters(blacklist_characters=",:#").filter(lambda c: not c.isspace()),
+        st.characters(blacklist_characters=core.SEPARATORS).filter(lambda c: not c.isspace()),
         min_size=1,
         max_size=4,
     ),
